@@ -20,7 +20,7 @@
 #include "hdc/record_encoder.hpp"
 #include "hdc/trainer.hpp"
 #include "lookhd/lookup_encoder.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer_bank.hpp"
 
 int
 main(int argc, char **argv)
@@ -37,16 +37,15 @@ main(int argc, char **argv)
 
         util::Rng rng(19);
         auto levels = std::make_shared<LevelMemory>(2000, 4, rng);
-        auto quantizer =
-            std::make_shared<quant::EqualizedQuantizer>(4);
-        const auto vals = tt.train.allValues();
-        quantizer->fit(
-            std::vector<double>(vals.begin(), vals.end()));
+        const quant::Quantizer quantizer =
+            quant::fitEqualized(tt.train.allValues(), 4);
 
         BaselineEncoder permutation(levels, quantizer);
         RecordEncoder record(levels, quantizer, app.numFeatures,
                              rng);
-        LookupEncoder lookup(levels, quantizer,
+        LookupEncoder lookup(levels,
+                             quant::QuantizerBank(quantizer,
+                                                  app.numFeatures),
                              ChunkSpec(app.numFeatures,
                                        app.chunkSize),
                              rng);

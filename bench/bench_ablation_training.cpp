@@ -15,7 +15,7 @@
 #include "hdc/online_trainer.hpp"
 #include "hdc/trainer.hpp"
 #include "lookhd/counter_trainer.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer_bank.hpp"
 
 int
 main(int argc, char **argv)
@@ -33,13 +33,11 @@ main(int argc, char **argv)
         util::Rng rng(13);
         auto levels = std::make_shared<LevelMemory>(
             2000, app.lookhdQ, rng);
-        auto quantizer =
-            std::make_shared<quant::EqualizedQuantizer>(app.lookhdQ);
-        const auto vals = tt.train.allValues();
-        quantizer->fit(
-            std::vector<double>(vals.begin(), vals.end()));
         LookupEncoder encoder(
-            levels, quantizer,
+            levels,
+            quant::QuantizerBank(
+                quant::fitEqualized(tt.train.allValues(), app.lookhdQ),
+                app.numFeatures),
             ChunkSpec(app.numFeatures, app.chunkSize), rng);
 
         std::vector<IntHv> enc_train, enc_test;

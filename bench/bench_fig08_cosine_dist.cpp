@@ -13,7 +13,7 @@
 #include "hdc/similarity.hpp"
 #include "lookhd/compressed_model.hpp"
 #include "lookhd/counter_trainer.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer_bank.hpp"
 #include "util/histogram.hpp"
 #include "util/stats.hpp"
 
@@ -32,13 +32,12 @@ main(int argc, char **argv)
     util::Rng rng(9);
     auto levels =
         std::make_shared<hdc::LevelMemory>(2000, app.lookhdQ, rng);
-    auto quant =
-        std::make_shared<quant::EqualizedQuantizer>(app.lookhdQ);
-    const auto vals = tt.train.allValues();
-    quant->fit(std::vector<double>(vals.begin(), vals.end()));
-    LookupEncoder encoder(levels, quant,
-                          ChunkSpec(app.numFeatures, app.chunkSize),
-                          rng);
+    LookupEncoder encoder(
+        levels,
+        quant::QuantizerBank(
+            quant::fitEqualized(tt.train.allValues(), app.lookhdQ),
+            app.numFeatures),
+        ChunkSpec(app.numFeatures, app.chunkSize), rng);
     CounterTrainer trainer(encoder);
     const hdc::ClassModel model = trainer.train(tt.train);
     const auto decorrelated = decorrelateClasses(model);

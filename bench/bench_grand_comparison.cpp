@@ -11,12 +11,11 @@
 #include "baseline/mlp.hpp"
 #include "baseline/mlp_fpga_model.hpp"
 #include "common.hpp"
-#include "hdc/binary_model.hpp"
 #include "hdc/online_trainer.hpp"
 #include "hdc/trainer.hpp"
 #include "hw/fpga_model.hpp"
 #include "hw/report.hpp"
-#include "quant/linear_quantizer.hpp"
+#include "quant/quantizer.hpp"
 
 int
 main(int argc, char **argv)
@@ -52,12 +51,9 @@ main(int argc, char **argv)
             util::Rng rng(3);
             auto levels = std::make_shared<hdc::LevelMemory>(
                 2000, app.paperQ, rng);
-            auto quant = std::make_shared<quant::LinearQuantizer>(
-                app.paperQ);
-            const auto vals = tt.train.allValues();
-            quant->fit(
-                std::vector<double>(vals.begin(), vals.end()));
-            hdc::BaselineEncoder encoder(levels, quant);
+            hdc::BaselineEncoder encoder(
+                levels,
+                quant::fitLinear(tt.train.allValues(), app.paperQ));
             hdc::BaselineTrainer trainer(encoder);
             hdc::TrainOptions opts;
             opts.retrainEpochs = 5;
@@ -72,17 +68,21 @@ main(int argc, char **argv)
                  formatSeconds(
                      fpga.baselineInferQuery(bp).seconds)});
 
-            // Binary HDC (binarized baseline model).
-            const hdc::BinaryModel binary(result.model);
+            // Binary HDC: the sign-packed serving form of the same
+            // baseline model, one bit per dimension per class.
+            const QuantizedServingModel binary =
+                QuantizedServingModel::fromClassModel(result.model);
             std::size_t ok = 0;
             for (std::size_t i = 0; i < tt.test.size(); ++i)
-                ok += binary.predict(encoder.encode(
-                          tt.test.row(i))) == tt.test.label(i);
+                ok += bench::predictBinary(
+                          binary, encoder.encode(tt.test.row(i))) ==
+                      tt.test.label(i);
             table.addRow(
                 {"binary HDC",
                  util::fmtPercent(static_cast<double>(ok) /
                                   tt.test.size()),
-                 std::to_string(binary.sizeBytes()),
+                 std::to_string((binary.numClasses() * binary.dim() + 7) /
+                                8),
                  formatSeconds(fpga.baselineTrain(bp).seconds),
                  formatSeconds(
                      fpga.baselineInferQuery(bp).seconds)});

@@ -15,7 +15,7 @@
 #include "hw/fpga_model.hpp"
 #include "hw/report.hpp"
 #include "hwsim/lookhd_sim.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer_bank.hpp"
 
 int
 main(int argc, char **argv)
@@ -41,13 +41,11 @@ main(int argc, char **argv)
         util::Rng rng(7);
         auto levels = std::make_shared<hdc::LevelMemory>(
             2000, app.lookhdQ, rng);
-        auto quantizer =
-            std::make_shared<quant::EqualizedQuantizer>(app.lookhdQ);
-        const auto vals = train.allValues();
-        quantizer->fit(
-            std::vector<double>(vals.begin(), vals.end()));
         LookupEncoder encoder(
-            levels, quantizer,
+            levels,
+            quant::QuantizerBank(
+                quant::fitEqualized(train.allValues(), app.lookhdQ),
+                app.numFeatures),
             ChunkSpec(app.numFeatures, app.chunkSize), rng);
 
         hw::AppParams params = hw::appParamsFor(
@@ -84,13 +82,12 @@ main(int argc, char **argv)
     util::Rng rng(7);
     auto levels =
         std::make_shared<hdc::LevelMemory>(2000, app.lookhdQ, rng);
-    auto quantizer =
-        std::make_shared<quant::EqualizedQuantizer>(app.lookhdQ);
-    const auto vals = train.allValues();
-    quantizer->fit(std::vector<double>(vals.begin(), vals.end()));
-    LookupEncoder encoder(levels, quantizer,
-                          ChunkSpec(app.numFeatures, app.chunkSize),
-                          rng);
+    LookupEncoder encoder(
+        levels,
+        quant::QuantizerBank(
+            quant::fitEqualized(train.allValues(), app.lookhdQ),
+            app.numFeatures),
+        ChunkSpec(app.numFeatures, app.chunkSize), rng);
 
     auto show = [](const char *what, const SimReport &report) {
         std::printf("%s (bottleneck: %s)\n", what,

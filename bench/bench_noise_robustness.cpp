@@ -15,7 +15,6 @@
 
 #include "baseline/mlp.hpp"
 #include "common.hpp"
-#include "hdc/binary_model.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -103,14 +102,15 @@ main(int argc, char **argv)
                 hv[z] = 0;
         }
         corrupted.normalize();
-        const hdc::BinaryModel binary(corrupted);
+        const QuantizedServingModel binary =
+            QuantizedServingModel::fromClassModel(corrupted);
 
         std::size_t ok_full = 0, ok_bin = 0;
         for (std::size_t i = 0; i < tt.test.size(); ++i) {
             const hdc::IntHv q =
                 clf.encoder().encode(tt.test.row(i));
             ok_full += corrupted.predict(q) == tt.test.label(i);
-            ok_bin += binary.predict(q) == tt.test.label(i);
+            ok_bin += bench::predictBinary(binary, q) == tt.test.label(i);
         }
         const double n = static_cast<double>(tt.test.size());
         model_table.addRow({util::fmtPercent(frac),

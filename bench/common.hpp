@@ -19,6 +19,7 @@
 #include <variant>
 
 #include "data/apps.hpp"
+#include "hdc/similarity.hpp"
 #include "lookhd/classifier.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
@@ -73,6 +74,18 @@ accuracyOf(const ClassifierConfig &cfg, const data::TrainTest &tt)
     Classifier clf(cfg);
     clf.fit(tt.train);
     return clf.evaluate(tt.test);
+}
+
+/**
+ * Class predicted for one encoded query by the sign-packed binary
+ * form (popcount scoring of the sign-binarized query): the binary
+ * HDC model of Sec. VII.
+ */
+inline std::size_t
+predictBinary(const QuantizedServingModel &binary, const hdc::IntHv &query)
+{
+    const hdc::IntHv *q = &query;
+    return hdc::argmax(binary.scoresBatchBinary(&q, 1));
 }
 
 /** Print a header line identifying the experiment. */

@@ -13,11 +13,10 @@
 
 #include "baseline/mlp.hpp"
 #include "data/apps.hpp"
-#include "hdc/binary_model.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/trainer.hpp"
 #include "lookhd/classifier.hpp"
-#include "quant/linear_quantizer.hpp"
+#include "quant/quantizer.hpp"
 
 int
 main()
@@ -39,11 +38,8 @@ main()
         util::Rng rng(1);
         auto levels =
             std::make_shared<hdc::LevelMemory>(2000, app.paperQ, rng);
-        auto quant =
-            std::make_shared<quant::LinearQuantizer>(app.paperQ);
-        const auto vals = tt.train.allValues();
-        quant->fit(std::vector<double>(vals.begin(), vals.end()));
-        hdc::BaselineEncoder encoder(levels, quant);
+        hdc::BaselineEncoder encoder(
+            levels, quant::fitLinear(tt.train.allValues(), app.paperQ));
         hdc::BaselineTrainer trainer(encoder);
         hdc::TrainOptions opts;
         opts.retrainEpochs = 5;
@@ -64,19 +60,12 @@ main()
                 100.0 * lookhd.evaluate(tt.test),
                 lookhd.modelSizeBytes());
 
-    // Binary HDC model (prior in-memory accelerators).
-    {
-        const hdc::BinaryModel binary(lookhd.uncompressedModel());
-        std::size_t ok = 0;
-        for (std::size_t i = 0; i < tt.test.size(); ++i) {
-            ok += binary.predict(lookhd.encoder().encode(
-                      tt.test.row(i))) == tt.test.label(i);
-        }
-        std::printf("%-28s %9.1f%% %14zu\n", "binary HDC model",
-                    100.0 * static_cast<double>(ok) /
-                        static_cast<double>(tt.test.size()),
-                    binary.sizeBytes());
-    }
+    // Binary HDC model (prior in-memory accelerators): the same
+    // prototypes served sign-packed, one bit per dimension per class.
+    lookhd.setServingPrecision(Precision::kBinary);
+    std::printf("%-28s %9.1f%% %14zu\n", "binary HDC model",
+                100.0 * lookhd.evaluate(tt.test),
+                (app.numClasses * cfg.dim + 7) / 8);
 
     // MLP baseline.
     {

@@ -12,7 +12,7 @@
 #include "data/synthetic.hpp"
 #include "hdc/clustering.hpp"
 #include "hdc/encoder.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer.hpp"
 
 int
 main()
@@ -34,10 +34,7 @@ main()
     // Encode with the standard pipeline.
     util::Rng rng(17);
     auto levels = std::make_shared<LevelMemory>(2000, 4, rng);
-    auto quantizer = std::make_shared<quant::EqualizedQuantizer>(4);
-    const auto vals = ds.allValues();
-    quantizer->fit(std::vector<double>(vals.begin(), vals.end()));
-    BaselineEncoder encoder(levels, quantizer);
+    BaselineEncoder encoder(levels, quant::fitEqualized(ds.allValues(), 4));
 
     std::vector<IntHv> points;
     points.reserve(ds.size());

@@ -13,7 +13,7 @@
 #include "data/apps.hpp"
 #include "lookhd/counter_trainer.hpp"
 #include "lookhd/retrainer.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer_bank.hpp"
 
 int
 main()
@@ -32,11 +32,10 @@ main()
 
     // --- 1. Equalized quantization (Sec. III-B) ---
     const std::size_t q = app.lookhdQ;
-    auto quantizer = std::make_shared<quant::EqualizedQuantizer>(q);
-    const auto vals = tt.train.allValues();
-    quantizer->fit(std::vector<double>(vals.begin(), vals.end()));
+    const quant::Quantizer quantizer =
+        quant::fitEqualized(tt.train.allValues(), q);
     std::printf("Equalized boundaries (q = %zu):", q);
-    for (double b : quantizer->boundaries())
+    for (double b : quantizer.boundaries())
         std::printf(" %.3f", b);
     std::printf("\n");
 
@@ -44,7 +43,8 @@ main()
     const hdc::Dim dim = 2000;
     util::Rng rng(42);
     auto levels = std::make_shared<hdc::LevelMemory>(dim, q, rng);
-    LookupEncoder encoder(levels, quantizer,
+    LookupEncoder encoder(levels,
+                          quant::QuantizerBank(quantizer, app.numFeatures),
                           ChunkSpec(app.numFeatures, app.chunkSize),
                           rng);
     std::printf("Chunks: %zu of size %zu; chunk table: %llu rows, "

@@ -30,8 +30,11 @@ class QuantizedModel
      * Quantize a trained model to @p bits per element.
      * @pre 1 <= bits <= 16.
      *
-     * bits == 1 reproduces the sign-binarized model (with dot-product
-     * scoring rather than Hamming, which ranks identically).
+     * bits == 1 keeps only the sign of each class element, but scores
+     * the unbinarized query against it. It therefore does not rank
+     * like the sign-binarized Hamming model
+     * (QuantizedServingModel::scoresBatchBinary), which binarizes the
+     * query too.
      */
     QuantizedModel(const ClassModel &model, std::size_t bits);
 

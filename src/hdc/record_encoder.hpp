@@ -33,13 +33,13 @@ class RecordEncoder
   public:
     /**
      * @param levels Level memory (values).
-     * @param quantizer Fitted quantizer matching levels.
+     * @param quantizer Quantizer matching levels.
      * @param num_features Feature count n (one ID per feature).
      * @param rng Source for the ID hypervectors.
      */
     RecordEncoder(std::shared_ptr<const LevelMemory> levels,
-                  std::shared_ptr<const quant::Quantizer> quantizer,
-                  std::size_t num_features, util::Rng &rng);
+                  quant::Quantizer quantizer, std::size_t num_features,
+                  util::Rng &rng);
 
     Dim dim() const { return levels_->dim(); }
     std::size_t numFeatures() const { return ids_.count(); }
@@ -54,7 +54,7 @@ class RecordEncoder
 
   private:
     std::shared_ptr<const LevelMemory> levels_;
-    std::shared_ptr<const quant::Quantizer> quantizer_;
+    quant::Quantizer quantizer_;
     KeyMemory ids_;
 };
 

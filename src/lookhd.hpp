@@ -18,7 +18,6 @@
 #include "util/timer.hpp"
 
 // HDC substrate
-#include "hdc/binary_model.hpp"
 #include "hdc/bitpack.hpp"
 #include "hdc/clustering.hpp"
 #include "hdc/encoder.hpp"
@@ -33,9 +32,6 @@
 #include "hdc/trainer.hpp"
 
 // Quantization
-#include "quant/boundary_quantizer.hpp"
-#include "quant/equalized_quantizer.hpp"
-#include "quant/linear_quantizer.hpp"
 #include "quant/quantizer.hpp"
 #include "quant/quantizer_bank.hpp"
 

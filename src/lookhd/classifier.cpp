@@ -8,8 +8,6 @@
 #include "util/check.hpp"
 
 #include "hdc/similarity.hpp"
-#include "quant/equalized_quantizer.hpp"
-#include "quant/linear_quantizer.hpp"
 
 namespace lookhd {
 
@@ -25,24 +23,15 @@ Classifier::Classifier(ClassifierConfig config)
 
 Classifier
 Classifier::restore(ClassifierConfig config,
-                    std::shared_ptr<const hdc::LevelMemory> levels,
-                    std::shared_ptr<const quant::Quantizer> quantizer,
-                    std::shared_ptr<const quant::QuantizerBank> bank,
                     std::unique_ptr<LookupEncoder> encoder,
                     std::optional<hdc::ClassModel> model,
                     std::optional<CompressedModel> compressed,
                     std::vector<double> retrain_history)
 {
-    LOOKHD_CHECK(levels && encoder, "restore needs levels and encoder");
-    LOOKHD_CHECK(config.perFeatureQuantization ? bool(bank)
-                                                : bool(quantizer),
-                 "quantization source does not match configuration");
+    LOOKHD_CHECK(encoder, "restore needs an encoder");
     LOOKHD_CHECK(model || compressed, "restore needs a model");
 
     Classifier clf(std::move(config));
-    clf.levels_ = std::move(levels);
-    clf.quantizer_ = std::move(quantizer);
-    clf.bank_ = std::move(bank);
     clf.encoder_ = std::move(encoder);
     clf.model_ = std::move(model);
     if (clf.model_)
@@ -72,47 +61,23 @@ Classifier::fit(const data::Dataset &train)
 
     // 1. Quantizer calibration: one global quantizer over every
     // training value, or one per feature column.
-    {
+    quant::QuantizerBank bank = [&] {
         LOOKHD_SPAN("classifier.fit.quantize", "train");
-        quantizer_.reset();
-        bank_.reset();
-        if (config_.perFeatureQuantization) {
-            auto bank = std::make_shared<quant::QuantizerBank>(
-                config_.quantLevels,
-                config_.quantization == QuantizationKind::kEqualized
-                    ? quant::BankKind::kEqualized
-                    : quant::BankKind::kLinear);
-            bank->fit(train);
-            bank_ = std::move(bank);
-        } else {
-            std::unique_ptr<quant::Quantizer> q;
-            if (config_.quantization == QuantizationKind::kEqualized)
-                q = std::make_unique<quant::EqualizedQuantizer>(
-                    config_.quantLevels);
-            else
-                q = std::make_unique<quant::LinearQuantizer>(
-                    config_.quantLevels);
-            const auto values = train.allValues();
-            q->fit(std::vector<double>(values.begin(), values.end()));
-            quantizer_ = std::move(q);
-        }
-    }
+        return quant::QuantizerBank::fit(train, config_.quantLevels,
+                                         config_.quantization,
+                                         config_.perFeatureQuantization);
+    }();
 
     // 2. Item memories and the lookup encoder.
     {
         LOOKHD_SPAN("classifier.fit.build_encoder", "train");
-        levels_ = std::make_shared<hdc::LevelMemory>(
+        auto levels = std::make_shared<hdc::LevelMemory>(
             config_.dim, config_.quantLevels, level_rng,
             config_.levelGen);
-        const ChunkSpec chunks(train.numFeatures(), config_.chunkSize);
-        if (bank_) {
-            encoder_ = std::make_unique<LookupEncoder>(
-                levels_, bank_, chunks, encoder_rng, config_.encoder);
-        } else {
-            encoder_ = std::make_unique<LookupEncoder>(
-                levels_, quantizer_, chunks, encoder_rng,
-                config_.encoder);
-        }
+        encoder_ = std::make_unique<LookupEncoder>(
+            std::move(levels), std::move(bank),
+            ChunkSpec(train.numFeatures(), config_.chunkSize),
+            encoder_rng, config_.encoder);
     }
 
     // 3. Counter-based initial training.
@@ -366,21 +331,6 @@ Classifier::compressedModel() const
 {
     LOOKHD_CHECK(compressed_, "no compressed model");
     return *compressed_;
-}
-
-const quant::Quantizer &
-Classifier::quantizer() const
-{
-    LOOKHD_CHECK(quantizer_,
-                 "classifier not fitted or uses a per-feature bank");
-    return *quantizer_;
-}
-
-const quant::QuantizerBank &
-Classifier::quantizerBank() const
-{
-    LOOKHD_CHECK(bank_, "classifier not fitted or uses a global quantizer");
-    return *bank_;
 }
 
 } // namespace lookhd

@@ -10,77 +10,32 @@ namespace lookhd {
 
 LookupEncoder::LookupEncoder(
     std::shared_ptr<const hdc::LevelMemory> levels,
-    std::shared_ptr<const quant::Quantizer> quantizer, ChunkSpec chunks,
-    util::Rng &rng, LookupEncoderConfig config)
-    : levels_(std::move(levels)), quantizer_(std::move(quantizer)),
-      chunks_(chunks),
-      positions_(levels_ ? levels_->dim() : 0, chunks.numChunks(), rng)
+    quant::QuantizerBank bank, ChunkSpec chunks, util::Rng &rng,
+    LookupEncoderConfig config)
+    : LookupEncoder(levels, std::move(bank), chunks,
+                    hdc::KeyMemory(levels ? levels->dim() : 0,
+                                   chunks.numChunks(), rng),
+                    config)
 {
-    LOOKHD_CHECK(levels_ && quantizer_, "encoder needs levels and quantizer");
-    LOOKHD_CHECK(quantizer_->fitted(), "quantizer must be fitted");
-    LOOKHD_CHECK(quantizer_->levels() == levels_->levels(),
-                 "quantizer levels do not match level memory");
-    buildTables(config);
 }
 
 LookupEncoder::LookupEncoder(
     std::shared_ptr<const hdc::LevelMemory> levels,
-    std::shared_ptr<const quant::QuantizerBank> bank, ChunkSpec chunks,
-    util::Rng &rng, LookupEncoderConfig config)
-    : levels_(std::move(levels)), bank_(std::move(bank)),
-      chunks_(chunks),
-      positions_(levels_ ? levels_->dim() : 0, chunks.numChunks(), rng)
-{
-    LOOKHD_CHECK(levels_ && bank_, "encoder needs levels and bank");
-    LOOKHD_CHECK(bank_->fitted(), "quantizer bank must be fitted");
-    LOOKHD_CHECK(bank_->levels() == levels_->levels(),
-                 "bank levels do not match level memory");
-    LOOKHD_CHECK(bank_->numFeatures() == chunks_.numFeatures(),
-                 "bank feature count does not match chunk spec");
-    buildTables(config);
-}
-
-LookupEncoder::LookupEncoder(
-    std::shared_ptr<const hdc::LevelMemory> levels,
-    std::shared_ptr<const quant::Quantizer> quantizer, ChunkSpec chunks,
-    hdc::KeyMemory positions, LookupEncoderConfig config)
-    : levels_(std::move(levels)), quantizer_(std::move(quantizer)),
-      chunks_(chunks), positions_(std::move(positions))
-{
-    LOOKHD_CHECK(levels_ && quantizer_, "encoder needs levels and quantizer");
-    LOOKHD_CHECK(quantizer_->fitted(), "quantizer must be fitted");
-    LOOKHD_CHECK(quantizer_->levels() == levels_->levels(),
-                 "quantizer levels do not match level memory");
-    LOOKHD_CHECK(positions_.count() == chunks_.numChunks(),
-                 "position key count does not match chunk count");
-    LOOKHD_CHECK(positions_.dim() == levels_->dim(),
-                 "position key dimensionality mismatch");
-    buildTables(config);
-}
-
-LookupEncoder::LookupEncoder(
-    std::shared_ptr<const hdc::LevelMemory> levels,
-    std::shared_ptr<const quant::QuantizerBank> bank, ChunkSpec chunks,
+    quant::QuantizerBank bank, ChunkSpec chunks,
     hdc::KeyMemory positions, LookupEncoderConfig config)
     : levels_(std::move(levels)), bank_(std::move(bank)),
       chunks_(chunks), positions_(std::move(positions))
 {
-    LOOKHD_CHECK(levels_ && bank_, "encoder needs levels and bank");
-    LOOKHD_CHECK(bank_->fitted(), "quantizer bank must be fitted");
-    LOOKHD_CHECK(bank_->levels() == levels_->levels(),
-                 "bank levels do not match level memory");
-    LOOKHD_CHECK(bank_->numFeatures() == chunks_.numFeatures(),
-                 "bank feature count does not match chunk spec");
+    LOOKHD_CHECK(levels_, "encoder needs levels");
+    LOOKHD_CHECK(bank_.levels() == levels_->levels(),
+                 "quantizer levels do not match level memory");
+    LOOKHD_CHECK(bank_.numFeatures() == chunks_.numFeatures(),
+                 "quantizer feature count does not match chunk spec");
     LOOKHD_CHECK(positions_.count() == chunks_.numChunks(),
                  "position key count does not match chunk count");
     LOOKHD_CHECK(positions_.dim() == levels_->dim(),
                  "position key dimensionality mismatch");
-    buildTables(config);
-}
 
-void
-LookupEncoder::buildTables(const LookupEncoderConfig &config)
-{
     const std::size_t full_len =
         std::min(chunks_.chunkSize(), chunks_.numFeatures());
     fullTable_ = std::make_shared<ChunkLookupTable>(
@@ -105,14 +60,7 @@ LookupEncoder::quantize(std::span<const double> features) const
 {
     LOOKHD_CHECK(features.size() == chunks_.numFeatures(),
                  "feature vector width mismatch");
-    std::vector<std::size_t> out;
-    if (bank_) {
-        out = bank_->levelsOf(features);
-    } else {
-        out.resize(features.size());
-        for (std::size_t i = 0; i < features.size(); ++i)
-            out[i] = quantizer_->level(features[i]);
-    }
+    std::vector<std::size_t> out = bank_.levelsOf(features);
 #if LOOKHD_OBS_ENABLED
     // Saturation telemetry: how many values land in the edge levels
     // (0 and q-1). Under linear quantization, out-of-range test
@@ -129,20 +77,6 @@ LookupEncoder::quantize(std::span<const double> features) const
     }
 #endif
     return out;
-}
-
-const quant::Quantizer &
-LookupEncoder::quantizer() const
-{
-    LOOKHD_CHECK(quantizer_, "encoder uses a per-feature bank");
-    return *quantizer_;
-}
-
-const quant::QuantizerBank &
-LookupEncoder::quantizerBank() const
-{
-    LOOKHD_CHECK(bank_, "encoder uses a global quantizer");
-    return *bank_;
 }
 
 std::vector<Address>

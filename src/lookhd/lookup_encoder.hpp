@@ -22,7 +22,6 @@
 #include "hdc/item_memory.hpp"
 #include "lookhd/chunking.hpp"
 #include "lookhd/lookup_table.hpp"
-#include "quant/quantizer.hpp"
 #include "quant/quantizer_bank.hpp"
 
 namespace lookhd {
@@ -44,37 +43,23 @@ class LookupEncoder
   public:
     /**
      * @param levels Shared level memory (same alphabets as baseline).
-     * @param quantizer Fitted quantizer, levels() == levels->levels().
+     * @param bank Quantization of a feature row: levels() must match
+     *        the level memory, numFeatures() the chunk spec.
      * @param chunks Chunking of the feature vector.
      * @param rng Source for the m position hypervectors P_1..P_m.
      */
     LookupEncoder(std::shared_ptr<const hdc::LevelMemory> levels,
-                  std::shared_ptr<const quant::Quantizer> quantizer,
-                  ChunkSpec chunks, util::Rng &rng,
-                  LookupEncoderConfig config = {});
+                  quant::QuantizerBank bank, ChunkSpec chunks,
+                  util::Rng &rng, LookupEncoderConfig config = {});
 
     /**
-     * Per-feature quantization variant: each feature uses its own
-     * fitted quantizer from @p bank (levels() must match the level
-     * memory, numFeatures() must match the chunk spec).
-     */
-    LookupEncoder(std::shared_ptr<const hdc::LevelMemory> levels,
-                  std::shared_ptr<const quant::QuantizerBank> bank,
-                  ChunkSpec chunks, util::Rng &rng,
-                  LookupEncoderConfig config = {});
-
-    /**
-     * Restore variants (deserialization): position keys are supplied
+     * Restore variant (deserialization): position keys are supplied
      * explicitly instead of generated. @pre positions.count() ==
      * chunks.numChunks() and positions.dim() == levels->dim().
      */
     LookupEncoder(std::shared_ptr<const hdc::LevelMemory> levels,
-                  std::shared_ptr<const quant::Quantizer> quantizer,
-                  ChunkSpec chunks, hdc::KeyMemory positions,
-                  LookupEncoderConfig config = {});
-    LookupEncoder(std::shared_ptr<const hdc::LevelMemory> levels,
-                  std::shared_ptr<const quant::QuantizerBank> bank,
-                  ChunkSpec chunks, hdc::KeyMemory positions,
+                  quant::QuantizerBank bank, ChunkSpec chunks,
+                  hdc::KeyMemory positions,
                   LookupEncoderConfig config = {});
 
     hdc::Dim dim() const { return levels_->dim(); }
@@ -108,25 +93,15 @@ class LookupEncoder
 
     const hdc::LevelMemory &levelMemory() const { return *levels_; }
 
-    /** Whether this encoder quantizes per feature. */
-    bool usesBank() const { return bank_ != nullptr; }
-
-    /** The global quantizer. @pre !usesBank(). */
-    const quant::Quantizer &quantizer() const;
-
-    /** The per-feature bank. @pre usesBank(). */
-    const quant::QuantizerBank &quantizerBank() const;
+    /** The quantization of a feature row. */
+    const quant::QuantizerBank &quantizerBank() const { return bank_; }
 
     /** Total bytes of all materialized tables. */
     std::size_t materializedBytes() const;
 
   private:
-    /** Shared tail of both constructors. */
-    void buildTables(const LookupEncoderConfig &config);
-
     std::shared_ptr<const hdc::LevelMemory> levels_;
-    std::shared_ptr<const quant::Quantizer> quantizer_;
-    std::shared_ptr<const quant::QuantizerBank> bank_;
+    quant::QuantizerBank bank_;
     ChunkSpec chunks_;
     hdc::KeyMemory positions_;
     /** Table for full-size chunks (shared by all of them). */

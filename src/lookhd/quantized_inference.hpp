@@ -13,8 +13,10 @@
  *    quantized the same way per request. A score is then one exact
  *    dotI8I8 kernel call times the two scales.
  *  - binary: the sign of each effective row, packed 64 dims per
- *    word (the binary_model.* packing); a score is one popcount
- *    kernel call turned into the +-1 dot 2 * matches - D.
+ *    word (hdc::PackedHv); a score is one popcount kernel call
+ *    turned into the +-1 dot 2 * matches - D. This is the
+ *    sign-binarized Hamming model of prior binary HDC (Sec. VII):
+ *    2 * matches - D is strictly monotone in the Hamming fraction.
  *
  * Both forms are always materialized together (the pair costs
  * ~9 bits per dimension per class). Scoring is bit-identical across

@@ -4,8 +4,8 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <span>
 
-#include "quant/boundary_quantizer.hpp"
 #include "util/check.hpp"
 
 namespace lookhd {
@@ -108,7 +108,7 @@ readDouble(std::istream &in)
 }
 
 void
-writeDoubles(std::ostream &out, const std::vector<double> &v)
+writeDoubles(std::ostream &out, std::span<const double> v)
 {
     writeU64(out, v.size());
     for (double x : v)
@@ -367,13 +367,13 @@ saveClassifier(const Classifier &clf, std::ostream &out)
     writeU64(out, encoder.chunks().numFeatures());
 
     // Quantization state (boundaries fully determine behaviour).
+    const quant::QuantizerBank &bank = encoder.quantizerBank();
     if (cfg.perFeatureQuantization) {
-        const quant::QuantizerBank &bank = clf.quantizerBank();
         writeU64(out, bank.numFeatures());
         for (std::size_t f = 0; f < bank.numFeatures(); ++f)
-            writeDoubles(out, bank.at(f).boundaries());
+            writeDoubles(out, bank.boundaries(f));
     } else {
-        writeDoubles(out, clf.quantizer().boundaries());
+        writeDoubles(out, bank.boundaries(0));
     }
 
     // Level memory.
@@ -476,24 +476,24 @@ loadClassifierImpl(std::istream &in)
     if (num_features == 0 || num_features > kMaxFeatures)
         throw SerializeError("implausible feature count in header");
 
-    std::shared_ptr<const quant::Quantizer> quantizer;
-    std::shared_ptr<const quant::QuantizerBank> bank;
+    // The Quantizer constructor rejects unsorted boundaries.
+    const auto readQuantizer = [&] {
+        auto bounds = readDoubles(in, 1 << 20);
+        if (bounds.size() + 1 != cfg.quantLevels)
+            throw SerializeError("quantizer boundary mismatch");
+        return quant::Quantizer(std::move(bounds));
+    };
+    std::optional<quant::QuantizerBank> bank;
     if (cfg.perFeatureQuantization) {
         const std::uint64_t bank_features = readU64(in);
         if (bank_features != num_features)
             throw SerializeError("bank feature count mismatch");
-        std::vector<std::vector<double>> bounds(bank_features);
-        for (auto &b : bounds)
-            b = readDoubles(in, 1 << 20);
-        bank = std::make_shared<quant::QuantizerBank>(
-            quant::QuantizerBank::fromBoundaries(cfg.quantLevels,
-                                                 bounds));
+        std::vector<quant::Quantizer> quantizers;
+        for (std::uint64_t f = 0; f < bank_features; ++f)
+            quantizers.push_back(readQuantizer());
+        bank.emplace(quantizers);
     } else {
-        auto bounds = readDoubles(in, 1 << 20);
-        if (bounds.size() + 1 != cfg.quantLevels)
-            throw SerializeError("quantizer boundary mismatch");
-        quantizer =
-            std::make_shared<quant::BoundaryQuantizer>(bounds);
+        bank.emplace(readQuantizer(), num_features);
     }
 
     const std::uint64_t num_levels = readU64(in);
@@ -520,15 +520,9 @@ loadClassifierImpl(std::istream &in)
     }
     hdc::KeyMemory positions(std::move(position_hvs));
 
-    std::unique_ptr<LookupEncoder> encoder;
-    if (bank) {
-        encoder = std::make_unique<LookupEncoder>(
-            levels, bank, chunks, std::move(positions), cfg.encoder);
-    } else {
-        encoder = std::make_unique<LookupEncoder>(
-            levels, quantizer, chunks, std::move(positions),
-            cfg.encoder);
-    }
+    auto encoder = std::make_unique<LookupEncoder>(
+        std::move(levels), std::move(*bank), chunks,
+        std::move(positions), cfg.encoder);
 
     const std::uint8_t model_flags = readU8(in);
     if (model_flags == 0 || (model_flags & ~std::uint8_t{3}) != 0)
@@ -592,8 +586,7 @@ loadClassifierImpl(std::istream &in)
     }
 
     Classifier clf = Classifier::restore(
-        std::move(cfg), std::move(levels), std::move(quantizer),
-        std::move(bank), std::move(encoder), std::move(model),
+        std::move(cfg), std::move(encoder), std::move(model),
         std::move(compressed), std::move(history));
     if (quantized)
         clf.attachQuantized(std::move(quantized));

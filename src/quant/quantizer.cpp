@@ -2,21 +2,116 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/obs.hpp"
+#include "util/check.hpp"
 
 namespace lookhd::quant {
 
-std::size_t
-binOf(const std::vector<double> &bounds, double value)
+namespace {
+
+void
+checkFitArgs(std::span<const double> sample, std::size_t levels)
 {
-    return static_cast<std::size_t>(
-        std::upper_bound(bounds.begin(), bounds.end(), value) -
-        bounds.begin());
+    LOOKHD_CHECK(levels >= 2, "quantizer needs at least 2 levels");
+    LOOKHD_CHECK(!sample.empty(), "cannot fit quantizer on empty sample");
+}
+
+/**
+ * Emit fit-time bin-occupancy telemetry for a freshly fitted
+ * quantizer (quant.fit.* counters/gauges; see ARCHITECTURE.md's
+ * quality-metric taxonomy). No-op when observability is compiled
+ * out or disabled at runtime.
+ */
+void
+recordFitTelemetry(const Quantizer &q, std::span<const double> sample)
+{
+#if LOOKHD_OBS_ENABLED
+    if (!obs::enabled())
+        return;
+    const std::vector<std::size_t> counts = occupancy(q, sample);
+    std::size_t collapsed = 0;
+    std::size_t peak = 0;
+    for (const std::size_t c : counts) {
+        if (c == 0)
+            ++collapsed;
+        peak = std::max(peak, c);
+    }
+    LOOKHD_COUNT_ADD("quant.fit.calls", 1);
+    LOOKHD_COUNT_ADD("quant.fit.collapsed_bins", collapsed);
+    LOOKHD_GAUGE_SET("quant.fit.occupancy_entropy",
+                     occupancyEntropy(counts));
+    if (!sample.empty())
+        LOOKHD_GAUGE_SET("quant.fit.occupancy_peak_frac",
+                         static_cast<double>(peak) /
+                             static_cast<double>(sample.size()));
+#else
+    (void)q;
+    (void)sample;
+#endif
+}
+
+} // namespace
+
+Quantizer::Quantizer(std::vector<double> bounds)
+    : bounds_(std::move(bounds))
+{
+    LOOKHD_CHECK(!bounds_.empty(), "quantizer needs at least one boundary");
+    LOOKHD_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()),
+                 "boundaries must be ascending");
 }
 
 std::vector<std::size_t>
-occupancy(const Quantizer &q, const std::vector<double> &sample)
+Quantizer::levelsOf(std::span<const double> values) const
+{
+    std::vector<std::size_t> out(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i)
+        out[i] = level(values[i]);
+    return out;
+}
+
+Quantizer
+fitLinear(std::span<const double> sample, std::size_t levels)
+{
+    checkFitArgs(sample, levels);
+    const auto [lo, hi] = std::minmax_element(sample.begin(), sample.end());
+    const double min = *lo;
+    const double max = *hi;
+    std::vector<double> bounds(levels - 1,
+                               std::numeric_limits<double>::infinity());
+    if (max != min) {
+        const double width = (max - min) / static_cast<double>(levels);
+        for (std::size_t i = 1; i < levels; ++i)
+            bounds[i - 1] = min + width * static_cast<double>(i);
+    }
+    Quantizer q(std::move(bounds));
+    recordFitTelemetry(q, sample);
+    return q;
+}
+
+Quantizer
+fitEqualized(std::span<const double> sample, std::size_t levels)
+{
+    checkFitArgs(sample, levels);
+    std::vector<double> sorted(sample.begin(), sample.end());
+    std::sort(sorted.begin(), sorted.end());
+
+    std::vector<double> bounds;
+    bounds.reserve(levels - 1);
+    for (std::size_t i = 1; i < levels; ++i) {
+        // Boundary at the i/q quantile: index into the sorted sample.
+        const std::size_t idx = std::min(
+            sorted.size() - 1, i * sorted.size() / levels);
+        bounds.push_back(sorted[idx]);
+    }
+    Quantizer q(std::move(bounds));
+    recordFitTelemetry(q, sample);
+    return q;
+}
+
+std::vector<std::size_t>
+occupancy(const Quantizer &q, std::span<const double> sample)
 {
     std::vector<std::size_t> counts(q.levels(), 0);
     for (const double v : sample)
@@ -43,34 +138,6 @@ occupancyEntropy(const std::vector<std::size_t> &counts)
         entropy -= p * std::log2(p);
     }
     return entropy / std::log2(static_cast<double>(counts.size()));
-}
-
-void
-recordFitTelemetry(const Quantizer &q, const std::vector<double> &sample)
-{
-#if LOOKHD_OBS_ENABLED
-    if (!obs::enabled())
-        return;
-    const std::vector<std::size_t> counts = occupancy(q, sample);
-    std::size_t collapsed = 0;
-    std::size_t peak = 0;
-    for (const std::size_t c : counts) {
-        if (c == 0)
-            ++collapsed;
-        peak = std::max(peak, c);
-    }
-    LOOKHD_COUNT_ADD("quant.fit.calls", 1);
-    LOOKHD_COUNT_ADD("quant.fit.collapsed_bins", collapsed);
-    LOOKHD_GAUGE_SET("quant.fit.occupancy_entropy",
-                     occupancyEntropy(counts));
-    if (!sample.empty())
-        LOOKHD_GAUGE_SET("quant.fit.occupancy_peak_frac",
-                         static_cast<double>(peak) /
-                             static_cast<double>(sample.size()));
-#else
-    (void)q;
-    (void)sample;
-#endif
 }
 
 } // namespace lookhd::quant

@@ -4,7 +4,8 @@
  *
  * HDC encoders do not consume raw feature values; each value is first
  * mapped to one of q discrete levels, and the level selects a level
- * hypervector. The paper contrasts two boundary-placement policies:
+ * hypervector. A fitted quantizer is fully defined by its q-1
+ * ascending boundaries. The paper contrasts two ways of placing them:
  *
  *  - linear: q equal-width bins over [f_min, f_max] (the conventional
  *    choice, Sec. II-A);
@@ -16,55 +17,78 @@
 #ifndef LOOKHD_QUANT_QUANTIZER_HPP
 #define LOOKHD_QUANT_QUANTIZER_HPP
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace lookhd::quant {
 
-/** Maps real feature values to discrete levels in [0, q). */
-class Quantizer
+/** Which boundary-placement policy a fit uses. */
+enum class QuantizationKind
 {
-  public:
-    virtual ~Quantizer() = default;
-
-    /**
-     * Calibrate boundaries from a sample of feature values.
-     * @pre sample non-empty.
-     */
-    virtual void fit(const std::vector<double> &sample) = 0;
-
-    /** Level index in [0, levels()) for a value. @pre fit() called. */
-    virtual std::size_t level(double value) const = 0;
-
-    /** Number of quantization levels q. */
-    virtual std::size_t levels() const = 0;
-
-    /**
-     * The q-1 internal bin boundaries in ascending order. Values below
-     * boundary 0 map to level 0; values at or above boundary i map to
-     * level i+1 or higher.
-     */
-    virtual std::vector<double> boundaries() const = 0;
-
-    /** Whether fit() has been called. */
-    virtual bool fitted() const = 0;
-
-    /** Quantize a whole feature vector. */
-    std::vector<std::size_t>
-    levelsOf(const std::vector<double> &values) const
-    {
-        std::vector<std::size_t> out(values.size());
-        for (std::size_t i = 0; i < values.size(); ++i)
-            out[i] = level(values[i]);
-        return out;
-    }
+    kLinear,    ///< Equal-width bins (conventional HDC).
+    kEqualized, ///< Quantile bins (the paper's proposal).
 };
 
 /**
  * Shared binary search over sorted boundaries: number of boundaries
  * strictly below or equal, i.e. the bin index of @p value.
  */
-std::size_t binOf(const std::vector<double> &bounds, double value);
+inline std::size_t
+binOf(std::span<const double> bounds, double value)
+{
+    return static_cast<std::size_t>(
+        std::upper_bound(bounds.begin(), bounds.end(), value) -
+        bounds.begin());
+}
+
+/**
+ * A fitted quantizer: its ascending boundaries. Values below
+ * boundary 0 map to level 0; values at or above boundary i map to
+ * level i+1 or higher. Saving the boundaries saves the quantizer.
+ */
+class Quantizer
+{
+  public:
+    /**
+     * @param bounds Ascending internal boundaries; levels() is
+     *        bounds.size() + 1. @pre at least one boundary.
+     */
+    explicit Quantizer(std::vector<double> bounds);
+
+    /** Level index in [0, levels()) for a value. */
+    std::size_t level(double value) const { return binOf(bounds_, value); }
+
+    /** Number of quantization levels q. */
+    std::size_t levels() const { return bounds_.size() + 1; }
+
+    /** The q-1 internal bin boundaries in ascending order. */
+    const std::vector<double> &boundaries() const { return bounds_; }
+
+    /** Quantize a whole feature vector. */
+    std::vector<std::size_t> levelsOf(std::span<const double> values) const;
+
+  private:
+    std::vector<double> bounds_;
+};
+
+/**
+ * Linear fit: q equal-width bins over [min, max] of @p sample. A
+ * constant sample has no width to split; its boundaries are all
+ * +infinity, so every finite value maps to level 0.
+ * @pre sample non-empty, levels >= 2.
+ */
+Quantizer fitLinear(std::span<const double> sample, std::size_t levels);
+
+/**
+ * Equalized fit: boundary i at the i/q empirical quantile of
+ * @p sample, so each level captures (approximately) an equal number
+ * of the sample's values. Ties collapse bins; the emptied bin simply
+ * never fires. @pre sample non-empty, levels >= 2.
+ */
+Quantizer fitEqualized(std::span<const double> sample,
+                       std::size_t levels);
 
 /**
  * Per-level occupancy of @p sample under a fitted quantizer: how
@@ -73,7 +97,7 @@ std::size_t binOf(const std::vector<double> &bounds, double value);
  * flat where linear quantization concentrates mass in a few levels.
  */
 std::vector<std::size_t> occupancy(const Quantizer &q,
-                                   const std::vector<double> &sample);
+                                   std::span<const double> sample);
 
 /**
  * Normalized Shannon entropy of an occupancy profile in [0, 1]:
@@ -81,16 +105,6 @@ std::vector<std::size_t> occupancy(const Quantizer &q,
  * (or fewer than 2 levels / an empty profile).
  */
 double occupancyEntropy(const std::vector<std::size_t> &counts);
-
-/**
- * Emit fit-time bin-occupancy telemetry for a freshly fitted
- * quantizer (quant.fit.* counters/gauges; see ARCHITECTURE.md's
- * quality-metric taxonomy). No-op when observability is compiled
- * out or disabled at runtime; quantizer fits call it at the end of
- * fit().
- */
-void recordFitTelemetry(const Quantizer &q,
-                        const std::vector<double> &sample);
 
 } // namespace lookhd::quant
 

@@ -2,38 +2,42 @@
 
 #include "util/check.hpp"
 
-#include "quant/boundary_quantizer.hpp"
-#include "quant/equalized_quantizer.hpp"
-#include "quant/linear_quantizer.hpp"
-
 namespace lookhd::quant {
 
-QuantizerBank::QuantizerBank(std::size_t levels, BankKind kind)
-    : levels_(levels), kind_(kind)
+QuantizerBank::QuantizerBank(const Quantizer &shared,
+                             std::size_t numFeatures)
+    : levels_(shared.levels()), numFeatures_(numFeatures), stride_(0),
+      bounds_(shared.boundaries())
 {
-    LOOKHD_CHECK(levels >= 2, "bank needs at least 2 levels");
+    LOOKHD_CHECK(numFeatures_ > 0, "bank needs at least one feature");
+}
+
+QuantizerBank::QuantizerBank(const std::vector<Quantizer> &perFeature)
+    : levels_(perFeature.empty() ? 0 : perFeature.front().levels()),
+      numFeatures_(perFeature.size()), stride_(levels_ - 1)
+{
+    LOOKHD_CHECK(!perFeature.empty(), "bank needs at least one feature");
+    bounds_.reserve(numFeatures_ * stride_);
+    for (const Quantizer &q : perFeature) {
+        LOOKHD_CHECK(q.levels() == levels_, "boundary count mismatch");
+        bounds_.insert(bounds_.end(), q.boundaries().begin(),
+                       q.boundaries().end());
+    }
 }
 
 QuantizerBank
-QuantizerBank::fromBoundaries(
-    std::size_t levels, const std::vector<std::vector<double>> &bounds)
-{
-    QuantizerBank bank(levels, BankKind::kEqualized);
-    std::vector<std::unique_ptr<Quantizer>> restored;
-    restored.reserve(bounds.size());
-    for (const auto &b : bounds) {
-        LOOKHD_CHECK(b.size() + 1 == levels, "boundary count mismatch");
-        restored.push_back(std::make_unique<BoundaryQuantizer>(b));
-    }
-    LOOKHD_CHECK(!restored.empty(), "bank needs at least one feature");
-    bank.quantizers_ = std::move(restored);
-    return bank;
-}
-
-void
-QuantizerBank::fit(const data::Dataset &ds)
+QuantizerBank::fit(const data::Dataset &ds, std::size_t levels,
+                   QuantizationKind kind, bool perFeature)
 {
     LOOKHD_CHECK(!ds.empty(), "cannot fit bank on empty dataset");
+    const auto fitOne = [&](std::span<const double> sample) {
+        return kind == QuantizationKind::kEqualized
+                   ? fitEqualized(sample, levels)
+                   : fitLinear(sample, levels);
+    };
+    if (!perFeature)
+        return QuantizerBank(fitOne(ds.allValues()), ds.numFeatures());
+
     std::vector<std::vector<double>> columns(ds.numFeatures());
     for (auto &col : columns)
         col.reserve(ds.size());
@@ -42,50 +46,30 @@ QuantizerBank::fit(const data::Dataset &ds)
         for (std::size_t f = 0; f < row.size(); ++f)
             columns[f].push_back(row[f]);
     }
-    fitColumns(columns);
-}
-
-void
-QuantizerBank::fitColumns(
-    const std::vector<std::vector<double>> &columns)
-{
-    LOOKHD_CHECK(!columns.empty(), "bank needs at least one feature");
-    std::vector<std::unique_ptr<Quantizer>> fitted;
+    std::vector<Quantizer> fitted;
     fitted.reserve(columns.size());
-    for (const auto &col : columns) {
-        std::unique_ptr<Quantizer> q;
-        if (kind_ == BankKind::kEqualized)
-            q = std::make_unique<EqualizedQuantizer>(levels_);
-        else
-            q = std::make_unique<LinearQuantizer>(levels_);
-        q->fit(col);
-        fitted.push_back(std::move(q));
-    }
-    quantizers_ = std::move(fitted);
-}
-
-std::size_t
-QuantizerBank::level(std::size_t feature, double value) const
-{
-    return at(feature).level(value);
+    for (const auto &col : columns)
+        fitted.push_back(fitOne(col));
+    return QuantizerBank(fitted);
 }
 
 std::vector<std::size_t>
 QuantizerBank::levelsOf(std::span<const double> row) const
 {
-    LOOKHD_CHECK(row.size() == numFeatures(), "row width mismatch");
+    LOOKHD_CHECK(row.size() == numFeatures_, "row width mismatch");
+    const std::span<const double> all(bounds_);
     std::vector<std::size_t> out(row.size());
     for (std::size_t f = 0; f < row.size(); ++f)
-        out[f] = quantizers_[f]->level(row[f]);
+        out[f] = binOf(all.subspan(f * stride_, levels_ - 1), row[f]);
     return out;
 }
 
-const Quantizer &
-QuantizerBank::at(std::size_t feature) const
+std::span<const double>
+QuantizerBank::boundaries(std::size_t feature) const
 {
-    LOOKHD_CHECK(fitted(), "bank not fitted");
-    LOOKHD_CHECK_BOUNDS(feature, quantizers_.size());
-    return *quantizers_[feature];
+    LOOKHD_CHECK_BOUNDS(feature, numFeatures_);
+    return std::span<const double>(bounds_).subspan(feature * stride_,
+                                                    levels_ - 1);
 }
 
 } // namespace lookhd::quant

@@ -1,19 +1,20 @@
 /**
  * @file
- * Per-feature quantizer bank.
+ * Quantization of a whole feature row.
  *
  * The paper calibrates one quantizer over the pooled feature values,
  * which works when all features share a range (its datasets are
  * normalized). Real sensor vectors often mix features with wildly
- * different scales; a bank fits an independent quantizer per feature
- * column so every feature uses all q levels. The bank plugs into
- * both encoders as a drop-in alternative to a global quantizer.
+ * different scales; a per-feature bank fits an independent quantizer
+ * per feature column so every feature uses all q levels. Both are a
+ * QuantizerBank: the shared form stores its q-1 boundaries once, the
+ * per-feature form stores q-1 per feature, and level() is the same
+ * lookup either way.
  */
 
 #ifndef LOOKHD_QUANT_QUANTIZER_BANK_HPP
 #define LOOKHD_QUANT_QUANTIZER_BANK_HPP
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -22,58 +23,46 @@
 
 namespace lookhd::quant {
 
-/** Which quantizer kind the bank instantiates per feature. */
-enum class BankKind
-{
-    kLinear,
-    kEqualized,
-};
-
-/** One independent quantizer per feature column. */
+/** One quantizer per feature, or one shared by every feature. */
 class QuantizerBank
 {
   public:
     /**
-     * @param levels Number of levels q (shared by every feature).
-     * @param kind Per-feature quantizer kind.
+     * Every one of @p numFeatures features uses @p shared.
+     * @pre numFeatures > 0.
      */
-    QuantizerBank(std::size_t levels, BankKind kind);
+    QuantizerBank(const Quantizer &shared, std::size_t numFeatures);
 
     /**
-     * Restore a fitted bank from explicit per-feature boundaries
-     * (deserialization). Every feature must carry levels - 1
-     * boundaries.
+     * Feature f uses perFeature[f]. @pre at least one quantizer, all
+     * with the same number of levels.
      */
-    static QuantizerBank
-    fromBoundaries(std::size_t levels,
-                   const std::vector<std::vector<double>> &bounds);
-
-    /** Fit each feature's quantizer on its column of @p ds. */
-    void fit(const data::Dataset &ds);
+    explicit QuantizerBank(const std::vector<Quantizer> &perFeature);
 
     /**
-     * Fit from explicit columns: columns[f] is the sample for
-     * feature f. @pre every column non-empty.
+     * Fit on @p ds: one quantizer over every value of the dataset, or
+     * one per feature column when @p perFeature.
+     * @pre ds non-empty, levels >= 2.
      */
-    void fitColumns(const std::vector<std::vector<double>> &columns);
+    static QuantizerBank fit(const data::Dataset &ds, std::size_t levels,
+                             QuantizationKind kind, bool perFeature);
 
     std::size_t levels() const { return levels_; }
-    std::size_t numFeatures() const { return quantizers_.size(); }
-    bool fitted() const { return !quantizers_.empty(); }
-
-    /** Level of @p value in feature @p feature's quantizer. */
-    std::size_t level(std::size_t feature, double value) const;
+    std::size_t numFeatures() const { return numFeatures_; }
 
     /** Quantize a whole row. @pre row.size() == numFeatures(). */
     std::vector<std::size_t> levelsOf(std::span<const double> row) const;
 
-    /** The fitted quantizer of one feature. */
-    const Quantizer &at(std::size_t feature) const;
+    /** The q-1 ascending boundaries of feature @p feature. */
+    std::span<const double> boundaries(std::size_t feature) const;
 
   private:
     std::size_t levels_;
-    BankKind kind_;
-    std::vector<std::unique_ptr<Quantizer>> quantizers_;
+    std::size_t numFeatures_;
+    /** 0 when shared, else levels_ - 1. */
+    std::size_t stride_;
+    /** The shared boundaries, or every feature's, feature-major. */
+    std::vector<double> bounds_;
 };
 
 } // namespace lookhd::quant

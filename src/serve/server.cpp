@@ -208,6 +208,19 @@ scoreMargin(const std::vector<double> &scores)
     return top1 - top2;
 }
 
+/**
+ * Nanoseconds from sinceNs to nowNs; 0 when sinceNs is unset (0) or
+ * later than nowNs. Another thread can stamp sinceNs after the caller
+ * read nowNs, and the plain unsigned difference would then wrap to an
+ * age of centuries (a worker that just started a batch would read as
+ * stalled).
+ */
+std::uint64_t
+elapsedNs(std::uint64_t nowNs, std::uint64_t sinceNs)
+{
+    return sinceNs == 0 || sinceNs > nowNs ? 0 : nowNs - sinceNs;
+}
+
 } // namespace
 
 InferenceServer::InferenceServer(Classifier classifier,
@@ -806,9 +819,6 @@ std::string
 InferenceServer::debugInflightBody()
 {
     const std::uint64_t now = util::Timer::processNanoseconds();
-    const auto ageNs = [now](std::uint64_t sinceNs) {
-        return sinceNs == 0 || sinceNs > now ? 0 : now - sinceNs;
-    };
     obs::JsonWriter w;
     w.beginObject();
     w.key("queued").beginArray();
@@ -820,7 +830,7 @@ InferenceServer::debugInflightBody()
                 w.kv("trace", obs::traceIdHex(req.ctx.trace));
             w.kv("id", idText(req.idKind, req.idNumber,
                               req.idString));
-            w.kv("age_ns", ageNs(req.enqueueNs));
+            w.kv("age_ns", elapsedNs(now, req.enqueueNs));
             w.endObject();
         }
     }
@@ -834,7 +844,7 @@ InferenceServer::debugInflightBody()
         w.kv("worker", static_cast<std::uint64_t>(i));
         w.kv("stage", std::string(state.stage.load(
                           std::memory_order_relaxed)));
-        w.kv("busy_ns", ageNs(busySince));
+        w.kv("busy_ns", elapsedNs(now, busySince));
         w.key("batch").beginArray();
         {
             const util::MutexLock lock(state.inflightMutex);
@@ -844,7 +854,7 @@ InferenceServer::debugInflightBody()
                 if (!entry.trace.empty())
                     w.kv("trace", entry.trace);
                 w.kv("id", entry.id);
-                w.kv("age_ns", ageNs(entry.enqueueNs));
+                w.kv("age_ns", elapsedNs(now, entry.enqueueNs));
                 w.endObject();
             }
         }
@@ -1061,7 +1071,7 @@ InferenceServer::checkReadiness()
             lastOverloadNs_.load(std::memory_order_relaxed);
         const bool recentOverload =
             config_.overloadHoldMs > 0 && lastOverload != 0 &&
-            now - lastOverload <
+            elapsedNs(now, lastOverload) <
                 config_.overloadHoldMs * 1'000'000ULL;
         bool stalled = false;
         if (config_.watchdogDeadlineMs > 0) {
@@ -1070,8 +1080,8 @@ InferenceServer::checkReadiness()
                     state->busySinceNs.load(
                         std::memory_order_relaxed);
                 if (busySince != 0 &&
-                    now - busySince >= config_.watchdogDeadlineMs *
-                                           1'000'000ULL) {
+                    elapsedNs(now, busySince) >=
+                        config_.watchdogDeadlineMs * 1'000'000ULL) {
                     stalled = true;
                     break;
                 }
@@ -1124,7 +1134,7 @@ InferenceServer::debugHealthBody()
          static_cast<std::uint64_t>(config_.queueCapacity));
     w.kv("overload_recent",
          config_.overloadHoldMs > 0 && lastOverload != 0 &&
-             now - lastOverload <
+             elapsedNs(now, lastOverload) <
                  config_.overloadHoldMs * 1'000'000ULL);
     w.kv("overload_hold_ms", config_.overloadHoldMs);
     w.endObject();
@@ -1196,9 +1206,8 @@ InferenceServer::watchdogLoop()
                 state.busySinceNs.load(std::memory_order_relaxed);
             if (busySince == 0)
                 continue;
-            const std::uint64_t elapsedNs = now - busySince;
-            if (elapsedNs <
-                config_.watchdogDeadlineMs * 1'000'000ULL)
+            const std::uint64_t elapsed = elapsedNs(now, busySince);
+            if (elapsed < config_.watchdogDeadlineMs * 1'000'000ULL)
                 continue;
             const std::uint64_t batch =
                 state.batchSeq.load(std::memory_order_relaxed);
@@ -1213,7 +1222,7 @@ InferenceServer::watchdogLoop()
                   std::string(state.stage.load(
                       std::memory_order_relaxed))},
                  {"elapsed_ms",
-                  std::to_string(elapsedNs / 1'000'000ULL)},
+                  std::to_string(elapsed / 1'000'000ULL)},
                  {"batch", std::to_string(batch)},
                  {"span_rollup", rollupDump()}});
         }

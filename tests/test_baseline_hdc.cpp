@@ -12,8 +12,7 @@
 #include "hdc/encoder.hpp"
 #include "hdc/similarity.hpp"
 #include "hdc/trainer.hpp"
-#include "quant/equalized_quantizer.hpp"
-#include "quant/linear_quantizer.hpp"
+#include "quant/quantizer.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -21,18 +20,21 @@ namespace {
 using namespace lookhd;
 using namespace lookhd::hdc;
 
+const std::vector<double> kUnitRange{0.0, 1.0};
+
+/** Linear quantizer fitted on @p sample (default [0, 1]). */
 struct Fixture
 {
     std::shared_ptr<LevelMemory> levels;
-    std::shared_ptr<quant::LinearQuantizer> quantizer;
+    quant::Quantizer quantizer;
     std::unique_ptr<BaselineEncoder> encoder;
 
-    Fixture(Dim dim, std::size_t q, std::uint64_t seed = 1)
+    Fixture(Dim dim, std::size_t q, std::uint64_t seed = 1,
+            std::span<const double> sample = kUnitRange)
+        : quantizer(quant::fitLinear(sample, q))
     {
         util::Rng rng(seed);
         levels = std::make_shared<LevelMemory>(dim, q, rng);
-        quantizer = std::make_shared<quant::LinearQuantizer>(q);
-        quantizer->fit({0.0, 1.0});
         encoder = std::make_unique<BaselineEncoder>(levels, quantizer);
     }
 };
@@ -44,7 +46,7 @@ TEST(BaselineEncoder, MatchesManualEquationOne)
     const std::vector<double> features{0.1, 0.6, 0.9};
     const IntHv encoded = fx.encoder->encode(features);
 
-    const auto lvls = fx.quantizer->levelsOf(features);
+    const auto lvls = fx.quantizer.levelsOf(features);
     IntHv manual(512, 0);
     for (std::size_t i = 0; i < lvls.size(); ++i) {
         const BipolarHv rotated = rotate(fx.levels->at(lvls[i]), i);
@@ -58,7 +60,7 @@ TEST(BaselineEncoder, EncodeLevelsAgreesWithEncode)
 {
     Fixture fx(256, 8);
     const std::vector<double> features{0.05, 0.5, 0.95, 0.3};
-    const auto lvls = fx.quantizer->levelsOf(features);
+    const auto lvls = fx.quantizer.levelsOf(features);
     EXPECT_EQ(fx.encoder->encode(features),
               fx.encoder->encodeLevels(lvls));
 }
@@ -104,12 +106,9 @@ TEST(BaselineEncoder, RejectsMismatchedQuantizer)
 {
     util::Rng rng(1);
     auto levels = std::make_shared<LevelMemory>(128, 4, rng);
-    auto quant8 = std::make_shared<quant::LinearQuantizer>(8);
-    quant8->fit({0.0, 1.0});
-    EXPECT_THROW(BaselineEncoder(levels, quant8),
+    EXPECT_THROW(BaselineEncoder(levels, quant::fitLinear(kUnitRange, 8)),
                  util::ContractViolation);
-    auto unfitted = std::make_shared<quant::LinearQuantizer>(4);
-    EXPECT_THROW(BaselineEncoder(levels, unfitted),
+    EXPECT_THROW(BaselineEncoder(nullptr, quant::fitLinear(kUnitRange, 4)),
                  util::ContractViolation);
 }
 
@@ -173,10 +172,8 @@ TEST(BaselineTrainerTest, LearnsSeparableProblem)
     spec.seed = 11;
     auto [train, test] = data::makeTrainTest(spec, 400, 100);
 
-    Fixture fx(2000, 8, 2);
-    // Refit the quantizer on the real value range.
-    const auto vals = train.allValues();
-    fx.quantizer->fit(std::vector<double>(vals.begin(), vals.end()));
+    // Fit the quantizer on the real value range.
+    Fixture fx(2000, 8, 2, train.allValues());
 
     BaselineTrainer trainer(*fx.encoder);
     TrainOptions opts;
@@ -196,9 +193,7 @@ TEST(BaselineTrainerTest, RetrainingImprovesTrainAccuracy)
     spec.seed = 13;
     auto [train, test] = data::makeTrainTest(spec, 300, 1);
 
-    Fixture fx(1000, 4, 3);
-    const auto vals = train.allValues();
-    fx.quantizer->fit(std::vector<double>(vals.begin(), vals.end()));
+    Fixture fx(1000, 4, 3, train.allValues());
 
     BaselineTrainer trainer(*fx.encoder);
     TrainOptions opts;
@@ -218,9 +213,7 @@ TEST(BaselineTrainerTest, EarlyStopHaltsBeforeMaxEpochs)
     spec.seed = 17;
     auto [train, test] = data::makeTrainTest(spec, 100, 1);
 
-    Fixture fx(500, 4, 4);
-    const auto vals = train.allValues();
-    fx.quantizer->fit(std::vector<double>(vals.begin(), vals.end()));
+    Fixture fx(500, 4, 4, train.allValues());
 
     BaselineTrainer trainer(*fx.encoder);
     TrainOptions opts;
@@ -239,9 +232,7 @@ TEST(BaselineTrainerTest, EncodedPathMatchesDatasetPath)
     spec.seed = 19;
     auto [train, test] = data::makeTrainTest(spec, 60, 1);
 
-    Fixture fx(256, 4, 5);
-    const auto vals = train.allValues();
-    fx.quantizer->fit(std::vector<double>(vals.begin(), vals.end()));
+    Fixture fx(256, 4, 5, train.allValues());
 
     BaselineTrainer trainer(*fx.encoder);
     TrainOptions opts;

@@ -10,7 +10,7 @@
 #include "data/synthetic.hpp"
 #include "hdc/clustering.hpp"
 #include "hdc/encoder.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -41,10 +41,7 @@ encodedBlobs(std::size_t k, double separation, std::size_t per_class,
 
     util::Rng rng(seed + 1000);
     auto levels = std::make_shared<LevelMemory>(2000, 4, rng);
-    auto quant = std::make_shared<quant::EqualizedQuantizer>(4);
-    const auto vals = ds.allValues();
-    quant->fit(std::vector<double>(vals.begin(), vals.end()));
-    BaselineEncoder encoder(levels, quant);
+    BaselineEncoder encoder(levels, quant::fitEqualized(ds.allValues(), 4));
 
     Encoded out;
     out.numClasses = k;

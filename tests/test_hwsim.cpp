@@ -12,7 +12,7 @@
 #include "hw/fpga_model.hpp"
 #include "hw/report.hpp"
 #include "hwsim/lookhd_sim.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer_bank.hpp"
 
 namespace {
 
@@ -64,7 +64,6 @@ struct SimFixture
 {
     data::Dataset train;
     std::shared_ptr<hdc::LevelMemory> levels;
-    std::shared_ptr<quant::EqualizedQuantizer> quantizer;
     std::unique_ptr<LookupEncoder> encoder;
     const data::AppSpec &app;
 
@@ -77,13 +76,11 @@ struct SimFixture
         util::Rng rng(7);
         levels = std::make_shared<hdc::LevelMemory>(
             2000, app.lookhdQ, rng);
-        quantizer =
-            std::make_shared<quant::EqualizedQuantizer>(app.lookhdQ);
-        const auto vals = train.allValues();
-        quantizer->fit(
-            std::vector<double>(vals.begin(), vals.end()));
         encoder = std::make_unique<LookupEncoder>(
-            levels, quantizer,
+            levels,
+            quant::QuantizerBank(
+                quant::fitEqualized(train.allValues(), app.lookhdQ),
+                app.numFeatures),
             ChunkSpec(app.numFeatures, app.chunkSize), rng);
     }
 };

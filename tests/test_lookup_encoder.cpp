@@ -10,7 +10,7 @@
 
 #include "hdc/similarity.hpp"
 #include "lookhd/lookup_encoder.hpp"
-#include "quant/linear_quantizer.hpp"
+#include "quant/quantizer_bank.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -18,23 +18,24 @@ namespace {
 using namespace lookhd;
 using namespace lookhd::hdc;
 
+const std::vector<double> kUnitRange{0.0, 1.0};
+
 struct Fixture
 {
     std::shared_ptr<LevelMemory> levels;
-    std::shared_ptr<quant::LinearQuantizer> quantizer;
+    quant::Quantizer quantizer;
     std::unique_ptr<LookupEncoder> encoder;
     util::Rng rng;
 
     Fixture(Dim dim, std::size_t q, std::size_t n, std::size_t r,
             std::uint64_t seed = 1,
             LookupEncoderConfig cfg = {})
-        : rng(seed)
+        : quantizer(quant::fitLinear(kUnitRange, q)), rng(seed)
     {
         levels = std::make_shared<LevelMemory>(dim, q, rng);
-        quantizer = std::make_shared<quant::LinearQuantizer>(q);
-        quantizer->fit({0.0, 1.0});
         encoder = std::make_unique<LookupEncoder>(
-            levels, quantizer, ChunkSpec(n, r), rng, cfg);
+            levels, quant::QuantizerBank(quantizer, n), ChunkSpec(n, r),
+            rng, cfg);
     }
 
     std::vector<double>
@@ -56,7 +57,7 @@ struct Fixture
             IntHv chunk_hv(encoder->dim(), 0);
             for (std::size_t j = 0; j < chunks.length(c); ++j) {
                 const std::size_t lvl =
-                    quantizer->level(features[chunks.begin(c) + j]);
+                    quantizer.level(features[chunks.begin(c) + j]);
                 addRotated(chunk_hv, levels->at(lvl), j);
             }
             const BipolarHv &key = encoder->positionKeys().at(c);
@@ -161,6 +162,10 @@ TEST(LookupEncoder, ValidationErrors)
     EXPECT_THROW(fx.encoder->tableFor(2), util::ContractViolation);
     const std::vector<Address> wrong(3, 0);
     EXPECT_THROW(fx.encoder->encodeFromAddresses(wrong),
+                 util::ContractViolation);
+    // The quantizer's levels must match the level memory.
+    const quant::QuantizerBank q8(quant::fitLinear(kUnitRange, 8), 10);
+    EXPECT_THROW(LookupEncoder(fx.levels, q8, ChunkSpec(10, 5), fx.rng),
                  util::ContractViolation);
 }
 

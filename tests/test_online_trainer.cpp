@@ -11,7 +11,7 @@
 #include "hdc/encoder.hpp"
 #include "hdc/online_trainer.hpp"
 #include "hdc/trainer.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -24,7 +24,6 @@ struct Fixture
     data::Dataset train;
     data::Dataset test;
     std::shared_ptr<LevelMemory> levels;
-    std::shared_ptr<quant::EqualizedQuantizer> quantizer;
     std::unique_ptr<BaselineEncoder> encoder;
     std::vector<IntHv> encodedTrain;
 
@@ -43,10 +42,8 @@ struct Fixture
 
         util::Rng rng(seed + 100);
         levels = std::make_shared<LevelMemory>(1000, 4, rng);
-        quantizer = std::make_shared<quant::EqualizedQuantizer>(4);
-        const auto vals = train.allValues();
-        quantizer->fit(std::vector<double>(vals.begin(), vals.end()));
-        encoder = std::make_unique<BaselineEncoder>(levels, quantizer);
+        encoder = std::make_unique<BaselineEncoder>(
+            levels, quant::fitEqualized(train.allValues(), 4));
         BaselineTrainer bt(*encoder);
         encodedTrain = bt.encodeAll(train);
     }

@@ -111,7 +111,7 @@ TEST(QuantizedModel, SizeShrinksWithBits)
     EXPECT_LT(q2.sizeBytes(), full.sizeBytes() / 10);
 }
 
-TEST(QuantizedModel, OneBitRanksLikeBinaryModel)
+TEST(QuantizedModel, OneBitElementsArePlusMinusOne)
 {
     Trained t(9);
     const QuantizedModel q1(t.clf.uncompressedModel(), 1);

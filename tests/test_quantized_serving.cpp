@@ -3,8 +3,9 @@
  * Classifier-level tests for quantized serving: precision routing
  * through scores()/scoresBatch(), batch-vs-single bit identity,
  * cross-impl bit identity of the quantized paths, agreement of the
- * quantized predictions with the float path, and the attach /
- * on-demand-build lifecycle.
+ * quantized predictions with the float path, the attach /
+ * on-demand-build lifecycle, and (the BinaryModel suite) the binary
+ * form as the sign-binarized Hamming model of Sec. VII.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +15,12 @@
 #include <vector>
 
 #include "data/synthetic.hpp"
+#include "hdc/encoder.hpp"
 #include "hdc/kernels.hpp"
+#include "hdc/similarity.hpp"
+#include "hdc/trainer.hpp"
 #include "lookhd/classifier.hpp"
+#include "quant/quantizer.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -256,6 +261,146 @@ TEST(QuantizedServing, PrecisionNamesRoundTrip)
     EXPECT_FALSE(precisionFromName("float32").has_value());
     EXPECT_FALSE(precisionFromName("").has_value());
     EXPECT_FALSE(precisionFromName("INT8").has_value());
+}
+
+// The binary form of the serving model is the Sec. VII binary-HDC
+// baseline: sign-binarized class rows scored by Hamming similarity
+// against the sign-binarized query.
+
+/** Binary-form scores of one encoded query. */
+std::vector<double>
+binaryScores(const QuantizedServingModel &model, const hdc::IntHv &query)
+{
+    const hdc::IntHv *q = &query;
+    return model.scoresBatchBinary(&q, 1);
+}
+
+TEST(BinaryModel, BinarizesSigns)
+{
+    hdc::ClassModel model(4, 2);
+    model.classHv(0) = hdc::IntHv{3, -2, 0, 7};
+    model.classHv(1) = hdc::IntHv{-1, 1, -9, 2};
+    model.normalize();
+    const QuantizedServingModel bin =
+        QuantizedServingModel::fromClassModel(model);
+    ASSERT_EQ(bin.binaryRows().size(), 2u);
+    // 0 maps to +1 on rows ...
+    EXPECT_EQ(bin.binaryRows()[0].unpack(), (hdc::BipolarHv{1, -1, 1, 1}));
+    EXPECT_EQ(bin.binaryRows()[1].unpack(),
+              (hdc::BipolarHv{-1, 1, -1, 1}));
+    // ... and on queries: {0, -5, 1, 1} binarizes to row 0 exactly.
+    EXPECT_EQ(binaryScores(bin, hdc::IntHv{0, -5, 1, 1}),
+              (std::vector<double>{4.0, -2.0}));
+}
+
+TEST(BinaryModel, PredictsObviousQueries)
+{
+    hdc::ClassModel model(64, 2);
+    hdc::IntHv a(64), b(64);
+    for (std::size_t i = 0; i < 64; ++i) {
+        a[i] = i % 2 ? 5 : -5;
+        b[i] = i % 2 ? -5 : 5;
+    }
+    model.classHv(0) = a;
+    model.classHv(1) = b;
+    model.normalize();
+    const QuantizedServingModel bin =
+        QuantizedServingModel::fromClassModel(model);
+    EXPECT_EQ(hdc::argmax(binaryScores(bin, a)), 0u);
+    EXPECT_EQ(hdc::argmax(binaryScores(bin, b)), 1u);
+}
+
+TEST(BinaryModel, ScoresAreHammingFractions)
+{
+    // A score is the +-1 dot 2 * matches - D = D * (2h - 1), with h
+    // the Hamming fraction, so it ranks exactly as h does.
+    hdc::ClassModel model(8, 1);
+    model.classHv(0) = hdc::IntHv{1, 1, 1, 1, -1, -1, -1, -1};
+    model.normalize();
+    const QuantizedServingModel bin =
+        QuantizedServingModel::fromClassModel(model);
+    const auto s = binaryScores(bin, hdc::IntHv{1, 1, 1, 1, 1, 1, 1, 1});
+    ASSERT_EQ(s.size(), 1u);
+    EXPECT_DOUBLE_EQ((s[0] + 8.0) / 16.0, 0.5);
+
+    // A query agreeing with the row on its first `agree` positions.
+    for (std::size_t agree = 0; agree <= 8; ++agree) {
+        hdc::IntHv query(8);
+        for (std::size_t i = 0; i < 8; ++i)
+            query[i] = (i < agree) == (i < 4) ? 3 : -3;
+        const double h = hdc::hammingSimilarity(
+            hdc::PackedHv(hdc::sign(query)), bin.binaryRows()[0]);
+        EXPECT_DOUBLE_EQ(h, static_cast<double>(agree) / 8.0);
+        EXPECT_DOUBLE_EQ((binaryScores(bin, query)[0] + 8.0) / 16.0, h)
+            << "agree " << agree;
+    }
+}
+
+TEST(BinaryModel, SizeIsOneBitPerDimension)
+{
+    util::Rng rng(31);
+    hdc::ClassModel model(2000, 26);
+    for (std::size_t c = 0; c < model.numClasses(); ++c) {
+        const hdc::BipolarHv row = hdc::randomBipolar(2000, rng);
+        model.classHv(c) = hdc::IntHv(row.begin(), row.end());
+    }
+    model.normalize();
+    const QuantizedServingModel bin =
+        QuantizedServingModel::fromClassModel(model);
+    ASSERT_EQ(bin.binaryRows().size(), 26u);
+    std::size_t bytes = 0;
+    for (const hdc::PackedHv &row : bin.binaryRows()) {
+        EXPECT_EQ(row.dim(), 2000u);
+        bytes += row.sizeBytes();
+    }
+    // One bit per dimension per class, in whole 64-bit words.
+    EXPECT_EQ(bytes, 26u * ((2000u + 63u) / 64u * 8u));
+    // About 32x smaller than the int32 model.
+    EXPECT_LT(bytes * 30, model.sizeBytes());
+}
+
+TEST(BinaryModel, LosesAccuracyVersusNonBinaryOnHardProblem)
+{
+    // Sec. VII on a hard (noisy, weakly separated) problem: the
+    // binary form of a plain BaselineTrainer model predicts exactly
+    // what Hamming similarity on packed signs predicts, and gives up
+    // accuracy against the non-binary model rather than gaining any.
+    data::SyntheticSpec spec;
+    spec.numFeatures = 60;
+    spec.numClasses = 6;
+    spec.classSeparation = 0.35;
+    spec.labelNoise = 0.05;
+    spec.seed = 23;
+    auto [train, test] = data::makeTrainTest(spec, 600, 300);
+    util::Rng rng(29);
+    auto levels = std::make_shared<hdc::LevelMemory>(2000, 4, rng);
+    const hdc::BaselineEncoder encoder(
+        levels, quant::fitEqualized(train.allValues(), 4));
+    hdc::BaselineTrainer trainer(encoder);
+    hdc::TrainOptions opts;
+    opts.retrainEpochs = 5;
+    const hdc::TrainResult result = trainer.train(train, opts);
+
+    const QuantizedServingModel binary =
+        QuantizedServingModel::fromClassModel(result.model);
+    std::vector<hdc::PackedHv> signRows;
+    for (std::size_t c = 0; c < result.model.numClasses(); ++c)
+        signRows.emplace_back(hdc::sign(result.model.classHv(c)));
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < test.size(); ++i) {
+        const hdc::IntHv query = encoder.encode(test.row(i));
+        const std::size_t pred =
+            hdc::argmax(binaryScores(binary, query));
+        const hdc::PackedHv packed(hdc::sign(query));
+        std::vector<double> hamming;
+        for (const hdc::PackedHv &row : signRows)
+            hamming.push_back(hdc::hammingSimilarity(packed, row));
+        EXPECT_EQ(pred, hdc::argmax(hamming)) << "row " << i;
+        correct += pred == test.label(i);
+    }
+    EXPECT_LE(static_cast<double>(correct) /
+                  static_cast<double>(test.size()),
+              trainer.evaluate(result.model, test) + 0.02);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the per-feature quantizer bank and its encoder/classifier
- * integration.
+ * Tests for the quantizer bank (shared and per-feature) and its
+ * encoder/classifier integration.
  */
 
 #include <gtest/gtest.h>
@@ -36,17 +36,35 @@ twoScaleData()
     return ds;
 }
 
+QuantizerBank
+perFeatureBank(const data::Dataset &ds, QuantizationKind kind)
+{
+    return QuantizerBank::fit(ds, 4, kind, /*perFeature=*/true);
+}
+
 TEST(QuantizerBank, FitsOneQuantizerPerFeature)
 {
     const data::Dataset ds = twoScaleData();
-    QuantizerBank bank(4, BankKind::kEqualized);
-    EXPECT_FALSE(bank.fitted());
-    bank.fit(ds);
-    EXPECT_TRUE(bank.fitted());
+    const QuantizerBank bank =
+        perFeatureBank(ds, QuantizationKind::kEqualized);
     EXPECT_EQ(bank.numFeatures(), 2u);
+    EXPECT_EQ(bank.levels(), 4u);
     // Each feature's boundaries live on its own scale.
-    EXPECT_LT(bank.at(0).boundaries().back(), 10.0);
-    EXPECT_GT(bank.at(1).boundaries().back(), 100.0);
+    EXPECT_LT(bank.boundaries(0).back(), 10.0);
+    EXPECT_GT(bank.boundaries(1).back(), 100.0);
+
+    // A shared bank fits one quantizer over every value and stores
+    // its boundaries once: every feature sees the same ones.
+    const QuantizerBank shared = QuantizerBank::fit(
+        ds, 4, QuantizationKind::kEqualized, /*perFeature=*/false);
+    EXPECT_EQ(shared.numFeatures(), 2u);
+    const auto b0 = shared.boundaries(0);
+    const auto b1 = shared.boundaries(1);
+    EXPECT_TRUE(std::equal(b0.begin(), b0.end(), b1.begin(), b1.end()));
+    const std::vector<double> pooled(ds.allValues().begin(),
+                                     ds.allValues().end());
+    EXPECT_EQ(std::vector<double>(b0.begin(), b0.end()),
+              fitEqualized(pooled, 4).boundaries());
 }
 
 TEST(QuantizerBank, AllLevelsUsedPerFeature)
@@ -55,11 +73,11 @@ TEST(QuantizerBank, AllLevelsUsedPerFeature)
     // all q levels even though a global quantizer would crush it into
     // level 0.
     const data::Dataset ds = twoScaleData();
-    QuantizerBank bank(4, BankKind::kEqualized);
-    bank.fit(ds);
+    const QuantizerBank bank =
+        perFeatureBank(ds, QuantizationKind::kEqualized);
     std::vector<bool> seen(4, false);
     for (std::size_t i = 0; i < ds.size(); ++i)
-        seen[bank.level(0, ds.row(i)[0])] = true;
+        seen[bank.levelsOf(ds.row(i))[0]] = true;
     for (std::size_t l = 0; l < 4; ++l)
         EXPECT_TRUE(seen[l]) << "level " << l;
 }
@@ -67,8 +85,8 @@ TEST(QuantizerBank, AllLevelsUsedPerFeature)
 TEST(QuantizerBank, LevelsOfRow)
 {
     const data::Dataset ds = twoScaleData();
-    QuantizerBank bank(4, BankKind::kLinear);
-    bank.fit(ds);
+    const QuantizerBank bank =
+        perFeatureBank(ds, QuantizationKind::kLinear);
     const auto lvls = bank.levelsOf(ds.row(0));
     ASSERT_EQ(lvls.size(), 2u);
     for (auto l : lvls)
@@ -80,43 +98,55 @@ TEST(QuantizerBank, LevelsOfRow)
 TEST(QuantizerBank, FromBoundariesRestoresBehaviour)
 {
     const data::Dataset ds = twoScaleData();
-    QuantizerBank bank(4, BankKind::kEqualized);
-    bank.fit(ds);
-    std::vector<std::vector<double>> bounds;
-    for (std::size_t f = 0; f < bank.numFeatures(); ++f)
-        bounds.push_back(bank.at(f).boundaries());
-    const QuantizerBank restored =
-        QuantizerBank::fromBoundaries(4, bounds);
-    for (std::size_t i = 0; i < ds.size(); ++i)
-        EXPECT_EQ(restored.levelsOf(ds.row(i)),
-                  bank.levelsOf(ds.row(i)));
+    for (const QuantizationKind kind :
+         {QuantizationKind::kLinear, QuantizationKind::kEqualized}) {
+        const QuantizerBank bank = perFeatureBank(ds, kind);
+        std::vector<Quantizer> quantizers;
+        for (std::size_t f = 0; f < bank.numFeatures(); ++f)
+            quantizers.emplace_back(std::vector<double>(
+                bank.boundaries(f).begin(), bank.boundaries(f).end()));
+        const QuantizerBank restored(quantizers);
+        for (std::size_t i = 0; i < ds.size(); ++i)
+            EXPECT_EQ(restored.levelsOf(ds.row(i)),
+                      bank.levelsOf(ds.row(i)));
+    }
 }
 
 TEST(QuantizerBank, Validation)
 {
-    EXPECT_THROW(QuantizerBank(1, BankKind::kLinear),
+    const data::Dataset ds = twoScaleData();
+    EXPECT_THROW(QuantizerBank::fit(ds, 1, QuantizationKind::kLinear,
+                                    true),
                  util::ContractViolation);
-    QuantizerBank bank(4, BankKind::kLinear);
-    EXPECT_THROW(bank.at(0), std::logic_error);
-    EXPECT_THROW(bank.fitColumns({}), util::ContractViolation);
-    EXPECT_THROW(QuantizerBank::fromBoundaries(4, {{1.0}}),
+    EXPECT_THROW(QuantizerBank::fit(data::Dataset(2, 2), 4,
+                                    QuantizationKind::kLinear, true),
+                 util::ContractViolation);
+    const QuantizerBank bank =
+        perFeatureBank(ds, QuantizationKind::kLinear);
+    EXPECT_THROW(bank.boundaries(2), std::logic_error);
+    EXPECT_THROW(QuantizerBank(std::vector<Quantizer>{}),
+                 util::ContractViolation);
+    EXPECT_THROW(QuantizerBank(Quantizer({1.0}), 0),
+                 util::ContractViolation);
+    // Every feature must quantize to the same number of levels.
+    EXPECT_THROW(QuantizerBank(std::vector<Quantizer>{
+                     Quantizer({1.0}), Quantizer({1.0, 2.0})}),
                  util::ContractViolation);
 }
 
 TEST(QuantizerBank, EncoderIntegrationMatchesManualLevels)
 {
     const data::Dataset ds = twoScaleData();
-    auto bank = std::make_shared<QuantizerBank>(
-        4, BankKind::kEqualized);
-    bank->fit(ds);
+    const QuantizerBank bank =
+        perFeatureBank(ds, QuantizationKind::kEqualized);
 
     util::Rng rng(5);
     auto levels = std::make_shared<hdc::LevelMemory>(512, 4, rng);
     LookupEncoder encoder(levels, bank, ChunkSpec(2, 2), rng);
-    EXPECT_TRUE(encoder.usesBank());
-    EXPECT_THROW(encoder.quantizer(), std::logic_error);
-    EXPECT_EQ(encoder.quantize(ds.row(0)),
-              bank->levelsOf(ds.row(0)));
+    EXPECT_EQ(encoder.quantize(ds.row(0)), bank.levelsOf(ds.row(0)));
+    // The bank must cover exactly the chunked features.
+    EXPECT_THROW(LookupEncoder(levels, bank, ChunkSpec(3, 2), rng),
+                 util::ContractViolation);
 }
 
 TEST(QuantizerBank, ClassifierPerFeatureBeatsGlobalOnMixedScales)
@@ -165,8 +195,6 @@ TEST(QuantizerBank, ClassifierPerFeatureBeatsGlobalOnMixedScales)
 
     EXPECT_GT(per_feature.evaluate(test),
               global.evaluate(test) + 0.1);
-    EXPECT_NO_THROW(per_feature.quantizerBank());
-    EXPECT_THROW(per_feature.quantizer(), std::logic_error);
 }
 
 } // namespace

@@ -1,14 +1,14 @@
 /**
  * @file
- * Tests for the linear and equalized quantizers (paper Sec. III-B).
+ * Tests for the linear and equalized quantizer fits (paper Sec. III-B).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
-#include "quant/equalized_quantizer.hpp"
-#include "quant/linear_quantizer.hpp"
+#include "quant/quantizer.hpp"
 #include "util/rng.hpp"
 #include "util/check.hpp"
 
@@ -29,8 +29,7 @@ lognormalSample(std::size_t count, std::uint64_t seed)
 
 TEST(LinearQuantizer, EqualWidthBins)
 {
-    LinearQuantizer q(4);
-    q.fit({0.0, 10.0});
+    const Quantizer q = fitLinear(std::vector<double>{0.0, 10.0}, 4);
     EXPECT_EQ(q.level(0.0), 0u);
     EXPECT_EQ(q.level(2.4), 0u);
     EXPECT_EQ(q.level(2.6), 1u);
@@ -41,17 +40,15 @@ TEST(LinearQuantizer, EqualWidthBins)
 
 TEST(LinearQuantizer, OutOfRangeClamps)
 {
-    LinearQuantizer q(8);
-    q.fit({-1.0, 1.0});
+    const Quantizer q = fitLinear(std::vector<double>{-1.0, 1.0}, 8);
     EXPECT_EQ(q.level(-100.0), 0u);
     EXPECT_EQ(q.level(100.0), 7u);
 }
 
 TEST(LinearQuantizer, BoundariesEvenlySpaced)
 {
-    LinearQuantizer q(5);
-    q.fit({0.0, 10.0});
-    const auto b = q.boundaries();
+    const Quantizer q = fitLinear(std::vector<double>{0.0, 10.0}, 5);
+    const auto &b = q.boundaries();
     ASSERT_EQ(b.size(), 4u);
     for (std::size_t i = 0; i < b.size(); ++i)
         EXPECT_NEAR(b[i], 2.0 * (i + 1), 1e-12);
@@ -59,18 +56,30 @@ TEST(LinearQuantizer, BoundariesEvenlySpaced)
 
 TEST(LinearQuantizer, ConstantSampleMapsToLevelZero)
 {
-    LinearQuantizer q(4);
-    q.fit({3.0, 3.0, 3.0});
+    // A constant sample has no width to split: every finite value
+    // maps to level 0, and the boundaries (all +infinity) say so, so
+    // a quantizer rebuilt from them behaves the same.
+    const Quantizer q = fitLinear(std::vector<double>{3.0, 3.0, 3.0}, 4);
     EXPECT_EQ(q.level(3.0), 0u);
     EXPECT_EQ(q.level(99.0), 0u);
+    EXPECT_EQ(q.level(-99.0), 0u);
+    const Quantizer restored(q.boundaries());
+    EXPECT_EQ(restored.level(3.0), 0u);
+    EXPECT_EQ(restored.level(99.0), 0u);
+    for (const double b : q.boundaries())
+        EXPECT_EQ(b, std::numeric_limits<double>::infinity());
 }
 
 TEST(LinearQuantizer, ErrorsOnMisuse)
 {
-    EXPECT_THROW(LinearQuantizer(1), lookhd::util::ContractViolation);
-    LinearQuantizer q(4);
-    EXPECT_THROW(q.level(1.0), std::logic_error);
-    EXPECT_THROW(q.fit({}), lookhd::util::ContractViolation);
+    EXPECT_THROW(fitLinear(std::vector<double>{0.0, 1.0}, 1),
+                 lookhd::util::ContractViolation);
+    EXPECT_THROW(fitLinear(std::vector<double>{}, 4),
+                 lookhd::util::ContractViolation);
+    EXPECT_THROW(Quantizer(std::vector<double>{}),
+                 lookhd::util::ContractViolation);
+    EXPECT_THROW(Quantizer(std::vector<double>{2.0, 1.0}),
+                 lookhd::util::ContractViolation);
 }
 
 TEST(EqualizedQuantizer, UniformOccupancyOnSkewedData)
@@ -78,12 +87,8 @@ TEST(EqualizedQuantizer, UniformOccupancyOnSkewedData)
     // The defining property: every level receives roughly the same
     // share of the (heavily skewed) fit sample.
     const auto sample = lognormalSample(20000, 1);
-    EqualizedQuantizer q(4);
-    q.fit(sample);
-    std::vector<std::size_t> counts(4, 0);
-    for (double v : sample)
-        ++counts[q.level(v)];
-    for (auto c : counts) {
+    const Quantizer q = fitEqualized(sample, 4);
+    for (auto c : occupancy(q, sample)) {
         EXPECT_GT(c, sample.size() / 4 - sample.size() / 40);
         EXPECT_LT(c, sample.size() / 4 + sample.size() / 40);
     }
@@ -94,16 +99,8 @@ TEST(EqualizedQuantizer, LinearCrowdsSkewedDataEqualizedDoesNot)
     // On log-normal data, linear quantization dumps most values into
     // the first bin; equalized does not. This is Fig. 3 in a test.
     const auto sample = lognormalSample(20000, 2);
-    LinearQuantizer lin(8);
-    EqualizedQuantizer eq(8);
-    lin.fit(sample);
-    eq.fit(sample);
-
-    std::vector<std::size_t> lin_counts(8, 0), eq_counts(8, 0);
-    for (double v : sample) {
-        ++lin_counts[lin.level(v)];
-        ++eq_counts[eq.level(v)];
-    }
+    const auto lin_counts = occupancy(fitLinear(sample, 8), sample);
+    const auto eq_counts = occupancy(fitEqualized(sample, 8), sample);
     const auto lin_max =
         *std::max_element(lin_counts.begin(), lin_counts.end());
     const auto eq_max =
@@ -115,9 +112,8 @@ TEST(EqualizedQuantizer, LinearCrowdsSkewedDataEqualizedDoesNot)
 TEST(EqualizedQuantizer, BoundariesAreAscending)
 {
     const auto sample = lognormalSample(5000, 3);
-    EqualizedQuantizer q(16);
-    q.fit(sample);
-    const auto b = q.boundaries();
+    const Quantizer q = fitEqualized(sample, 16);
+    const auto &b = q.boundaries();
     ASSERT_EQ(b.size(), 15u);
     for (std::size_t i = 1; i < b.size(); ++i)
         EXPECT_GE(b[i], b[i - 1]);
@@ -126,8 +122,7 @@ TEST(EqualizedQuantizer, BoundariesAreAscending)
 TEST(EqualizedQuantizer, MonotoneInValue)
 {
     const auto sample = lognormalSample(5000, 4);
-    EqualizedQuantizer q(8);
-    q.fit(sample);
+    const Quantizer q = fitEqualized(sample, 8);
     std::size_t prev = 0;
     for (double v = 0.01; v < 20.0; v *= 1.3) {
         const std::size_t lvl = q.level(v);
@@ -143,29 +138,27 @@ TEST(EqualizedQuantizer, HandlesMassiveTies)
     std::vector<double> sample(1000, 5.0);
     for (std::size_t i = 0; i < 1000; ++i)
         sample.push_back(static_cast<double>(i));
-    EqualizedQuantizer q(4);
-    q.fit(sample);
+    const Quantizer q = fitEqualized(sample, 4);
     for (double v : sample)
         EXPECT_LT(q.level(v), 4u);
 }
 
 TEST(EqualizedQuantizer, ErrorsOnMisuse)
 {
-    EXPECT_THROW(EqualizedQuantizer(0), lookhd::util::ContractViolation);
-    EqualizedQuantizer q(4);
-    EXPECT_THROW(q.level(1.0), std::logic_error);
-    EXPECT_THROW(q.fit({}), lookhd::util::ContractViolation);
+    EXPECT_THROW(fitEqualized(std::vector<double>{0.0, 1.0}, 0),
+                 lookhd::util::ContractViolation);
+    EXPECT_THROW(fitEqualized(std::vector<double>{}, 4),
+                 lookhd::util::ContractViolation);
 }
 
 TEST(Quantizer, LevelsOfVector)
 {
-    LinearQuantizer q(2);
-    q.fit({0.0, 1.0});
-    const auto lvls = q.levelsOf({0.1, 0.9, 0.4});
+    const Quantizer q = fitLinear(std::vector<double>{0.0, 1.0}, 2);
+    const auto lvls = q.levelsOf(std::vector<double>{0.1, 0.9, 0.4});
     EXPECT_EQ(lvls, (std::vector<std::size_t>{0, 1, 0}));
 }
 
-/** Parameterized sweep over q for both quantizer kinds. */
+/** Parameterized sweep over q for both fits. */
 class QuantizerSweep : public ::testing::TestWithParam<std::size_t>
 {
 };
@@ -174,21 +167,17 @@ TEST_P(QuantizerSweep, AllLevelsReachableEqualized)
 {
     const std::size_t q = GetParam();
     const auto sample = lognormalSample(20000, 40 + q);
-    EqualizedQuantizer quant(q);
-    quant.fit(sample);
-    std::vector<bool> seen(q, false);
-    for (double v : sample)
-        seen[quant.level(v)] = true;
+    const auto counts = occupancy(fitEqualized(sample, q), sample);
     for (std::size_t l = 0; l < q; ++l)
-        EXPECT_TRUE(seen[l]) << "level " << l << " of q=" << q;
+        EXPECT_GT(counts[l], 0u) << "level " << l << " of q=" << q;
 }
 
 TEST_P(QuantizerSweep, LinearLevelsWithinRange)
 {
     const std::size_t q = GetParam();
     const auto sample = lognormalSample(5000, 80 + q);
-    LinearQuantizer quant(q);
-    quant.fit(sample);
+    const Quantizer quant = fitLinear(sample, q);
+    EXPECT_EQ(quant.levels(), q);
     for (double v : sample)
         EXPECT_LT(quant.level(v), q);
 }

@@ -13,8 +13,7 @@
 #include "hdc/record_encoder.hpp"
 #include "hdc/similarity.hpp"
 #include "hdc/trainer.hpp"
-#include "quant/equalized_quantizer.hpp"
-#include "quant/linear_quantizer.hpp"
+#include "quant/quantizer.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -25,17 +24,16 @@ using namespace lookhd::hdc;
 struct Fixture
 {
     std::shared_ptr<LevelMemory> levels;
-    std::shared_ptr<quant::LinearQuantizer> quantizer;
+    quant::Quantizer quantizer;
     std::unique_ptr<RecordEncoder> encoder;
     util::Rng rng;
 
     Fixture(Dim dim, std::size_t q, std::size_t n,
             std::uint64_t seed = 1)
-        : rng(seed)
+        : quantizer(quant::fitLinear(std::vector<double>{0.0, 1.0}, q)),
+          rng(seed)
     {
         levels = std::make_shared<LevelMemory>(dim, q, rng);
-        quantizer = std::make_shared<quant::LinearQuantizer>(q);
-        quantizer->fit({0.0, 1.0});
         encoder = std::make_unique<RecordEncoder>(levels, quantizer,
                                                   n, rng);
     }
@@ -48,7 +46,7 @@ TEST(RecordEncoder, MatchesManualBindSum)
     IntHv manual(256, 0);
     for (std::size_t f = 0; f < 3; ++f) {
         const BipolarHv &lvl =
-            fx.levels->at(fx.quantizer->level(features[f]));
+            fx.levels->at(fx.quantizer.level(features[f]));
         const BipolarHv &id = fx.encoder->ids().at(f);
         for (std::size_t i = 0; i < 256; ++i)
             manual[i] += id[i] * lvl[i];
@@ -95,8 +93,7 @@ TEST(RecordEncoder, Validation)
     EXPECT_THROW(fx.encoder->encode(std::vector<double>(4, 0.0)),
                  util::ContractViolation);
     util::Rng rng(1);
-    auto unfitted = std::make_shared<quant::LinearQuantizer>(4);
-    EXPECT_THROW(RecordEncoder(fx.levels, unfitted, 5, rng),
+    EXPECT_THROW(RecordEncoder(fx.levels, quant::Quantizer({0.5}), 5, rng),
                  util::ContractViolation);
     EXPECT_THROW(RecordEncoder(fx.levels, fx.quantizer, 0, rng),
                  util::ContractViolation);
@@ -116,9 +113,8 @@ TEST(RecordEncoder, ComparableAccuracyToPermutationEncoding)
 
     util::Rng rng(11);
     auto levels = std::make_shared<LevelMemory>(2000, 4, rng);
-    auto quantizer = std::make_shared<quant::EqualizedQuantizer>(4);
-    const auto vals = train.allValues();
-    quantizer->fit(std::vector<double>(vals.begin(), vals.end()));
+    const quant::Quantizer quantizer =
+        quant::fitEqualized(train.allValues(), 4);
 
     RecordEncoder record(levels, quantizer, 40, rng);
     BaselineEncoder permutation(levels, quantizer);

@@ -10,7 +10,7 @@
 #include "data/synthetic.hpp"
 #include "lookhd/counter_trainer.hpp"
 #include "lookhd/retrainer.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer_bank.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -21,7 +21,6 @@ using namespace lookhd::hdc;
 struct Pipeline
 {
     std::shared_ptr<LevelMemory> levels;
-    std::shared_ptr<quant::EqualizedQuantizer> quantizer;
     std::unique_ptr<LookupEncoder> encoder;
     data::Dataset train;
     data::Dataset test;
@@ -38,11 +37,11 @@ struct Pipeline
 
         util::Rng rng(seed);
         levels = std::make_shared<LevelMemory>(dim, q, rng);
-        quantizer = std::make_shared<quant::EqualizedQuantizer>(q);
-        const auto vals = train.allValues();
-        quantizer->fit(std::vector<double>(vals.begin(), vals.end()));
         encoder = std::make_unique<LookupEncoder>(
-            levels, quantizer, ChunkSpec(spec.numFeatures, r), rng);
+            levels,
+            quant::QuantizerBank(quant::fitEqualized(train.allValues(), q),
+                                 spec.numFeatures),
+            ChunkSpec(spec.numFeatures, r), rng);
 
         CounterTrainer trainer(*encoder);
         const ClassModel trained = trainer.train(train);

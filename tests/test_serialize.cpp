@@ -33,6 +33,19 @@ smallProblem(std::uint64_t seed = 1)
     return data::makeTrainTest(spec, 200, 80);
 }
 
+/** @p ds with feature @p f pinned to one value, as a dead sensor reads. */
+data::Dataset
+withConstantColumn(const data::Dataset &ds, std::size_t f)
+{
+    data::Dataset out(ds.numFeatures(), ds.numClasses());
+    for (std::size_t i = 0; i < ds.size(); ++i) {
+        std::vector<double> row(ds.row(i).begin(), ds.row(i).end());
+        row[f] = 3.0;
+        out.add(row, ds.label(i));
+    }
+    return out;
+}
+
 ClassifierConfig
 smallConfig()
 {
@@ -91,19 +104,40 @@ TEST(Serialize, RoundTripUncompressedMode)
 
 TEST(Serialize, RoundTripPerFeatureQuantization)
 {
+    // Both policies, global and per feature, quantize every row the
+    // same after reload - including a constant column, whose linear
+    // per-feature fit is degenerate.
     const auto tt = smallProblem(5);
-    ClassifierConfig cfg = smallConfig();
-    cfg.perFeatureQuantization = true;
-    Classifier original(cfg);
-    original.fit(tt.train);
+    const data::Dataset train = withConstantColumn(tt.train, 7);
+    const data::Dataset test = withConstantColumn(tt.test, 7);
+    for (const bool perFeature : {false, true}) {
+        for (const QuantizationKind kind :
+             {QuantizationKind::kLinear, QuantizationKind::kEqualized}) {
+            ClassifierConfig cfg = smallConfig();
+            cfg.perFeatureQuantization = perFeature;
+            cfg.quantization = kind;
+            Classifier original(cfg);
+            original.fit(train);
 
-    std::stringstream buffer;
-    saveClassifier(original, buffer);
-    const Classifier restored = loadClassifier(buffer);
-    EXPECT_TRUE(restored.config().perFeatureQuantization);
-    for (std::size_t i = 0; i < tt.test.size(); ++i)
-        EXPECT_EQ(restored.predict(tt.test.row(i)),
-                  original.predict(tt.test.row(i)));
+            std::stringstream buffer;
+            saveClassifier(original, buffer);
+            const Classifier restored = loadClassifier(buffer);
+            EXPECT_EQ(restored.config().perFeatureQuantization,
+                      perFeature);
+            EXPECT_EQ(restored.config().quantization, kind);
+            for (const data::Dataset *ds : {&train, &test}) {
+                for (std::size_t i = 0; i < ds->size(); ++i) {
+                    EXPECT_EQ(restored.encoder().quantize(ds->row(i)),
+                              original.encoder().quantize(ds->row(i)))
+                        << "perFeature=" << perFeature << " linear="
+                        << (kind == QuantizationKind::kLinear)
+                        << " row " << i;
+                    EXPECT_EQ(restored.predict(ds->row(i)),
+                              original.predict(ds->row(i)));
+                }
+            }
+        }
+    }
 }
 
 TEST(Serialize, RoundTripGroupedCompression)

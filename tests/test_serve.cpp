@@ -745,6 +745,60 @@ TEST(ServeHealth, OverloadFlipsHealthzAndRecovers)
     server.stop();
 }
 
+TEST(ServeHealth, BusyWorkerNeverReadsAsStalled)
+{
+    // A worker stamps its busy-since time as it starts each batch. A
+    // readiness check that read the clock just before that stamp must
+    // see a fresh batch, not an unsigned wrap to a centuries-long
+    // stall ("watchdog_stalled" on a healthy server).
+    serve::ServeConfig cfg;
+    cfg.workers = 1;
+    cfg.batchMaxSize = 1;
+    cfg.batchMaxDelayUs = 0;
+    cfg.health.windowSeconds = 0.0; // protocol readiness only
+    serve::InferenceServer server(trainedClassifier(), cfg);
+    server.start();
+
+    // Keep the worker starting batches back to back; the queue never
+    // fills, so every verdict should be "ok".
+    std::atomic<bool> done{false};
+    std::thread client([&] {
+        serve::TcpStream stream =
+            serve::TcpStream::connect("127.0.0.1", server.port());
+        const std::vector<double> features(12, 0.5);
+        std::string burst;
+        for (std::uint64_t i = 0; i < 8; ++i)
+            burst += requestLine(i, features) + "\n";
+        std::string line;
+        while (!done.load(std::memory_order_relaxed)) {
+            ASSERT_TRUE(stream.sendAll(burst));
+            for (int i = 0; i < 8; ++i)
+                ASSERT_TRUE(stream.readLine(line));
+        }
+    });
+
+    std::size_t checks = 0;
+    std::size_t unready = 0;
+    std::string reason;
+    const auto end = std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(500);
+    while (std::chrono::steady_clock::now() < end) {
+        const serve::InferenceServer::Readiness r =
+            server.checkReadiness();
+        ++checks;
+        if (!r.ready) {
+            ++unready;
+            reason = r.reason;
+        }
+    }
+    done.store(true, std::memory_order_relaxed);
+    client.join();
+    EXPECT_GT(server.requestsServed(), 0u);
+    EXPECT_EQ(unready, 0u) << unready << " of " << checks
+                           << " checks unready, last reason " << reason;
+    server.stop();
+}
+
 TEST(ServeHealth, DebugHealthAndWindowsEndpoints)
 {
     serve::ServeConfig cfg;
