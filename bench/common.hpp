@@ -101,12 +101,11 @@ banner(const std::string &what)
  * Machine-readable result sink shared by every bench binary.
  *
  * Alongside the human-readable stdout tables, each bench writes
- * `BENCH_<name>.json` (schema `lookhd-bench-v2`, checked by
+ * `BENCH_<name>.json` (schema `lookhd-bench-v3`, checked by
  * tools/validate_bench_json.py): the bench's headline metrics, its
- * config, the full metric registry, the span rollup, the quality
- * telemetry (confusion counters + margin histograms) and, when
- * --perf is given on Linux, hardware perf counters per span. This is
- * the trajectory format tools/bench_compare.py diffs against
+ * config, the full metric registry, the span rollup and the quality
+ * telemetry (confusion counters + margin histograms). This is the
+ * trajectory format tools/bench_compare.py diffs against
  * bench/baselines/.
  *
  * Recognized CLI arguments (unknown ones are ignored so benches can
@@ -115,8 +114,6 @@ banner(const std::string &what)
  *   --git-rev REV    recorded in the JSON (or env LOOKHD_GIT_REV)
  *   --quick          shrink bench::gScale for CI smoke runs
  *   --trace-out F    also record spans and write a Chrome trace
- *   --perf           attach perf_event counters to spans (Linux;
- *                    silently absent when the kernel refuses)
  *   --profile-out F  sample the bench with the CPU profiler
  *                    (obs/profiler.hpp) and write speedscope JSON
  *                    (.json) or collapsed stacks (anything else)
@@ -149,15 +146,11 @@ class BenchReporter
                                           10);
             else if (arg == "--quick")
                 quick_ = true;
-            else if (arg == "--perf")
-                perf_ = true;
         }
         if (quick_)
             gScale = SampleScale{8, 4};
         if (!traceOut_.empty())
             obs::setTracing(true);
-        if (perf_)
-            obs::setPerfCounters(true);
         if (!profileOut_.empty()) {
             obs::Profiler::registerCurrentThread();
             obs::ProfileOptions opts;
@@ -212,7 +205,7 @@ class BenchReporter
         written_ = true;
         obs::JsonWriter w;
         w.beginObject();
-        w.kv("schema", "lookhd-bench-v2");
+        w.kv("schema", "lookhd-bench-v3");
         w.kv("name", name_);
         w.kv("git_rev", gitRev_);
         w.kv("quick", quick_);
@@ -243,8 +236,6 @@ class BenchReporter
         w.endArray();
         w.key("quality");
         obs::QualityTelemetry::global().writeJson(w);
-        w.key("perf_counters");
-        obs::writePerfJson(w);
         w.endObject();
 
         const std::string path = outPath();
@@ -305,7 +296,6 @@ class BenchReporter
     std::string profileOut_;
     unsigned long profileHz_ = 0;
     bool quick_ = false;
-    bool perf_ = false;
     bool written_ = false;
     std::map<std::string, std::variant<std::string, double>> config_;
     std::map<std::string, double> metrics_;

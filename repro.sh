@@ -29,11 +29,13 @@ python3 tools/validate_bench_json.py build/bench_json
 # Regression check against the committed baselines. The baselines
 # are pinned --quick runs, so re-run the baselined benches at the
 # same scale into their own directory (the full-scale outputs above
-# would trip the quick-flag mismatch detection by design).
+# would trip the quick-flag mismatch detection by design). Every
+# pinned baseline is re-run: one left out reports MISSING and fails.
 mkdir -p build/bench_json_quick
-for b in bench_fig02_breakdown bench_fig04_quant_accuracy; do
-    build/bench/$b --quick --out-dir build/bench_json_quick \
-        --git-rev "$rev" > /dev/null
+for f in bench/baselines/BENCH_*.json; do
+    name=$(basename "$f" .json)
+    build/bench/bench_${name#BENCH_} --quick \
+        --out-dir build/bench_json_quick --git-rev "$rev" > /dev/null
 done
 python3 tools/bench_compare.py bench/baselines build/bench_json_quick \
     --thresholds bench/baselines/thresholds.json \

@@ -60,23 +60,7 @@ LookupEncoder::quantize(std::span<const double> features) const
 {
     LOOKHD_CHECK(features.size() == chunks_.numFeatures(),
                  "feature vector width mismatch");
-    std::vector<std::size_t> out = bank_.levelsOf(features);
-#if LOOKHD_OBS_ENABLED
-    // Saturation telemetry: how many values land in the edge levels
-    // (0 and q-1). Under linear quantization, out-of-range test
-    // values clamp to the edges; a high saturation fraction is the
-    // failure mode equalized quantization avoids (Fig. 3/4).
-    // Counted locally, then two atomic adds per call.
-    if (obs::enabled() && levels_->levels() >= 2) {
-        const std::size_t top = levels_->levels() - 1;
-        std::size_t saturated = 0;
-        for (const std::size_t lvl : out)
-            saturated += lvl == 0 || lvl == top;
-        LOOKHD_COUNT_ADD("quant.level.values", out.size());
-        LOOKHD_COUNT_ADD("quant.level.saturated", saturated);
-    }
-#endif
-    return out;
+    return bank_.levelsOf(features);
 }
 
 std::vector<Address>

@@ -1,14 +1,13 @@
 #include "obs/eventlog.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <csignal>
 #include <exception>
 #include <fcntl.h>
 #include <fstream>
+#include <iterator>
 #include <ostream>
 #include <unistd.h>
-#include <unordered_map>
 
 #include "obs/json.hpp"
 #include "util/timer.hpp"
@@ -16,27 +15,6 @@
 namespace lookhd::obs {
 
 namespace {
-
-std::uint64_t
-wallMillisNow()
-{
-    // Wall clock for log stamps only; ordering uses the monotonic
-    // elapsed_ns (src/obs/ is the lint-sanctioned home for this).
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-}
-
-/** Small, stable per-thread id (first-emit order, not the OS tid). */
-std::uint64_t
-thisThreadId()
-{
-    static std::atomic<std::uint64_t> next{0};
-    thread_local const std::uint64_t id =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return id;
-}
 
 void
 writeEventLine(std::ostream &out, const LogEvent &e)
@@ -74,68 +52,7 @@ logLevelName(LogLevel level)
     return "unknown";
 }
 
-/**
- * Fixed-capacity overwrite-oldest buffer. Each writer thread owns
- * one ring; the ring mutex is uncontended except while a flush is
- * draining it. Rings are chained into the log's lock-free list
- * (nextRing, immutable after publication) so the crash-signal path
- * can reach every ring without touching ringsMutex_.
- */
-struct EventLog::Ring
-{
-    explicit Ring(std::size_t capacity) : events(capacity) {}
-
-    util::Mutex mutex;
-    /** Capacity slots, circular. */
-    std::vector<LogEvent> events LOOKHD_GUARDED_BY(mutex);
-    /** Next write position. */
-    std::size_t head LOOKHD_GUARDED_BY(mutex) = 0;
-    std::size_t size LOOKHD_GUARDED_BY(mutex) = 0;
-    std::uint64_t droppedSinceFlush LOOKHD_GUARDED_BY(mutex) = 0;
-    /** Written once at registration, immutable after. */
-    std::uint64_t threadId = 0;
-    /** List link; written before publication, immutable after. */
-    Ring *nextRing = nullptr;
-
-    void
-    push(LogEvent &&e)
-    {
-        const util::MutexLock lock(mutex);
-        events[head] = std::move(e);
-        head = (head + 1) % events.size();
-        if (size < events.size())
-            ++size;
-        else
-            ++droppedSinceFlush;
-    }
-};
-
-namespace {
-
-std::uint64_t
-nextLogId()
-{
-    static std::atomic<std::uint64_t> next{0};
-    return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-} // namespace
-
-EventLog::EventLog(std::size_t ringCapacity)
-    : id_(nextLogId()),
-      ringCapacity_(ringCapacity == 0 ? 1 : ringCapacity)
-{
-}
-
-EventLog::~EventLog()
-{
-    Ring *ring = ringsHead_.load(std::memory_order_acquire);
-    while (ring != nullptr) {
-        Ring *next = ring->nextRing;
-        delete ring;
-        ring = next;
-    }
-}
+EventLog::EventLog(std::size_t ringCapacity) : rings_(ringCapacity) {}
 
 EventLog &
 EventLog::global()
@@ -161,31 +78,6 @@ EventLog::minLevel() const
         minLevel_.load(std::memory_order_relaxed));
 }
 
-EventLog::Ring &
-EventLog::ringForThisThread()
-{
-    // One ring per (log instance, thread). The thread_local cache
-    // makes the steady-state lookup a hash hit; rings themselves are
-    // owned by the log so flush() can reach all of them. Keyed by
-    // the process-unique id_ so a destroyed instance's entry is
-    // merely stale, never a dangling lookup hit.
-    thread_local std::unordered_map<std::uint64_t, Ring *> cache;
-    const auto it = cache.find(id_);
-    if (it != cache.end())
-        return *it->second;
-    auto *ring = new Ring(ringCapacity_);
-    ring->threadId = thisThreadId();
-    {
-        const util::MutexLock lock(ringsMutex_);
-        ring->nextRing = ringsHead_.load(std::memory_order_relaxed);
-        // Release-publish so the lock-free crash traversal sees a
-        // fully constructed ring behind the new head.
-        ringsHead_.store(ring, std::memory_order_release);
-    }
-    cache[id_] = ring;
-    return *ring;
-}
-
 void
 EventLog::emit(LogLevel level, std::string_view event,
                std::initializer_list<
@@ -195,17 +87,18 @@ EventLog::emit(LogLevel level, std::string_view event,
     if (static_cast<int>(level) <
         minLevel_.load(std::memory_order_relaxed))
         return;
-    Ring &ring = ringForThisThread();
     LogEvent e;
-    e.wallMs = wallMillisNow();
+    // Wall clock for log stamps only; ordering uses the monotonic
+    // elapsed_ns.
+    e.wallMs = wallClockMs();
     e.elapsedNs = util::Timer::processNanoseconds();
     e.level = level;
     e.event = std::string(event);
-    e.thread = ring.threadId;
+    e.thread = threadId();
     e.fields.reserve(fields.size());
     for (const auto &[key, value] : fields)
         e.fields.emplace_back(std::string(key), value);
-    ring.push(std::move(e));
+    rings_.push(std::move(e));
     emitted_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -213,35 +106,20 @@ void
 EventLog::flush(std::ostream &out)
 {
     std::vector<LogEvent> drained;
-    {
-        const util::MutexLock lock(ringsMutex_);
-        for (Ring *ring = ringsHead_.load(std::memory_order_acquire);
-             ring != nullptr; ring = ring->nextRing) {
-            const util::MutexLock ringLock(ring->mutex);
-            if (ring->droppedSinceFlush > 0) {
-                LogEvent drop;
-                drop.wallMs = wallMillisNow();
-                drop.elapsedNs = 0; // sorts before what survived
-                drop.level = LogLevel::kWarn;
-                drop.event = "eventlog.dropped";
-                drop.thread = ring->threadId;
-                drop.fields.emplace_back(
-                    "dropped",
-                    std::to_string(ring->droppedSinceFlush));
-                drained.push_back(std::move(drop));
-                dropped_.fetch_add(ring->droppedSinceFlush,
-                                   std::memory_order_relaxed);
-                ring->droppedSinceFlush = 0;
-            }
-            const std::size_t cap = ring->events.size();
-            const std::size_t oldest =
-                (ring->head + cap - ring->size) % cap;
-            for (std::size_t i = 0; i < ring->size; ++i)
-                drained.push_back(std::move(
-                    ring->events[(oldest + i) % cap]));
-            ring->size = 0;
-            // head stays: positions are relative to size.
+    for (auto &ring : rings_.drain()) {
+        if (ring.dropped > 0) {
+            LogEvent drop;
+            drop.wallMs = wallClockMs();
+            drop.elapsedNs = 0; // sorts before what survived
+            drop.level = LogLevel::kWarn;
+            drop.event = "eventlog.dropped";
+            drop.thread = ring.thread;
+            drop.fields.emplace_back("dropped",
+                                     std::to_string(ring.dropped));
+            drained.push_back(std::move(drop));
         }
+        std::move(ring.items.begin(), ring.items.end(),
+                  std::back_inserter(drained));
     }
     std::stable_sort(drained.begin(), drained.end(),
                      [](const LogEvent &a, const LogEvent &b) {
@@ -271,32 +149,14 @@ EventLog::totalEmitted() const
 std::uint64_t
 EventLog::totalDropped() const
 {
-    // Drops are folded in at flush time; add the not-yet-flushed
-    // remainder so the count is current.
-    std::uint64_t pending = 0;
-    {
-        const util::MutexLock lock(ringsMutex_);
-        for (Ring *ring = ringsHead_.load(std::memory_order_acquire);
-             ring != nullptr; ring = ring->nextRing) {
-            const util::MutexLock ringLock(ring->mutex);
-            pending += ring->droppedSinceFlush;
-        }
-    }
-    return dropped_.load(std::memory_order_relaxed) + pending;
+    return rings_.dropped();
 }
 
 void
 EventLog::reset()
 {
-    const util::MutexLock lock(ringsMutex_);
-    for (Ring *ring = ringsHead_.load(std::memory_order_acquire);
-         ring != nullptr; ring = ring->nextRing) {
-        const util::MutexLock ringLock(ring->mutex);
-        ring->size = 0;
-        ring->droppedSinceFlush = 0;
-    }
+    rings_.clear();
     emitted_.store(0, std::memory_order_relaxed);
-    dropped_.store(0, std::memory_order_relaxed);
 }
 
 // --- Crash flush -----------------------------------------------------
@@ -305,9 +165,10 @@ EventLog::reset()
 // allocation, no locks, no stdio, no functions outside the
 // signal-safety(7) list. tools/lint_annotations.py cannot check this,
 // but the tidy-tsa build proves the no-locking half: none of these
-// functions carry ACQUIRE/REQUIRES, and flushCrashToFd is the one
-// LOOKHD_NO_THREAD_SAFETY_ANALYSIS site in the repo, with the racy
-// reads documented at the call sites it guards.
+// functions carry ACQUIRE/REQUIRES, and the repo's only
+// LOOKHD_NO_THREAD_SAFETY_ANALYSIS sites are crashFlush below and the
+// ring read it reaches (ThreadRing::readUnlocked), each with its racy
+// reads documented where they happen.
 
 namespace {
 
@@ -502,38 +363,23 @@ fatalSignalHandler(int sig)
 
 } // namespace
 
-// Rationale for LOOKHD_NO_THREAD_SAFETY_ANALYSIS: this is the
-// crash-signal drain. Taking ringsMutex_ or a ring mutex inside a
-// signal handler could self-deadlock against the very thread that
-// crashed while holding it, so the rings are read WITHOUT their
-// capabilities, racing with live writers by design. The ring list is
-// safe to traverse lock-free (release-published, nodes never freed
-// while the log lives); the ring contents may tear, and a fault while
-// reading them is absorbed by crashFlush's one-shot guard.
 bool
-EventLog::flushCrashToFd(int fd) LOOKHD_NO_THREAD_SAFETY_ANALYSIS
+EventLog::flushCrashToFd(int fd)
 {
     FdWriter w(fd);
-    for (Ring *ring = ringsHead_.load(std::memory_order_acquire);
-         ring != nullptr; ring = ring->nextRing) {
-        const std::size_t cap = ring->events.size();
-        if (cap == 0)
-            continue;
-        const std::size_t size = ring->size < cap ? ring->size : cap;
-        const std::size_t head = ring->head % cap;
-        if (ring->droppedSinceFlush > 0) {
-            LogEvent drop;
-            // Field strings stay in-capacity for SSO: no allocation.
-            drop.level = LogLevel::kWarn;
-            drop.event = "eventlog.dropped";
-            drop.thread = ring->threadId;
-            writeCrashEventLine(w, drop);
+    rings_.readUnlocked([&w](const ThreadRing<LogEvent>::View &ring) {
+        if (ring.dropped > 0) {
+            // Written field by field: a LogEvent here could allocate.
+            w.literal("{\"ts_ms\":0,\"elapsed_ns\":0,\"level\":\"warn\","
+                      "\"event\":\"eventlog.dropped\",\"thread\":");
+            w.unsigned64(ring.thread);
+            w.literal(",\"fields\":{\"dropped\":\"");
+            w.unsigned64(ring.dropped);
+            w.literal("\"}}\n");
         }
-        const std::size_t oldest = (head + cap - size) % cap;
-        for (std::size_t i = 0; i < size; ++i)
-            writeCrashEventLine(
-                w, ring->events[(oldest + i) % cap]);
-    }
+        for (std::size_t i = 0; i < ring.size; ++i)
+            writeCrashEventLine(w, ring[i]);
+    });
     w.flushBuffer();
     return w.ok();
 }

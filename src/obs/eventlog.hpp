@@ -41,7 +41,7 @@
 #include <utility>
 #include <vector>
 
-#include "util/thread_annotations.hpp"
+#include "obs/thread_ring.hpp"
 
 namespace lookhd::obs {
 
@@ -63,7 +63,7 @@ struct LogEvent
     std::uint64_t elapsedNs = 0; ///< util::Timer::processNanoseconds.
     LogLevel level = LogLevel::kInfo;
     std::string event; ///< `subsystem.verb` name, like metrics.
-    std::uint64_t thread = 0; ///< Stable small id of the origin thread.
+    std::uint64_t thread = 0; ///< obs::threadId() of the origin thread.
     std::vector<std::pair<std::string, std::string>> fields;
 };
 
@@ -76,7 +76,6 @@ class EventLog
   public:
     /** @param ringCapacity Events retained per thread between flushes. */
     explicit EventLog(std::size_t ringCapacity = 1024);
-    ~EventLog();
 
     EventLog(const EventLog &) = delete;
     EventLog &operator=(const EventLog &) = delete;
@@ -126,8 +125,8 @@ class EventLog
 
     /**
      * Async-signal-safe drain of every ring to @p fd as JSON lines.
-     * Takes NO locks and allocates NOTHING: rings are reached
-     * through a lock-free list and formatted into a fixed stack
+     * Takes NO locks and allocates NOTHING: rings are read through
+     * ThreadRing::readUnlocked and formatted into a fixed stack
      * buffer with raw write(2) calls. Reads race with concurrent
      * writers by design - on the crash path the torn tail of a log
      * beats an empty file. Rings are NOT emptied (no state is
@@ -137,26 +136,9 @@ class EventLog
     bool flushCrashToFd(int fd);
 
   private:
-    struct Ring;
-
-    Ring &ringForThisThread();
-
-    /** Process-unique instance id; keys the thread-local ring cache
-     * so a destroyed instance's cache entry can never be revived by
-     * address reuse. */
-    const std::uint64_t id_;
-    const std::size_t ringCapacity_;
+    ThreadRing<LogEvent> rings_;
     std::atomic<int> minLevel_{static_cast<int>(LogLevel::kDebug)};
     std::atomic<std::uint64_t> emitted_{0};
-    std::atomic<std::uint64_t> dropped_{0};
-    /** Serializes ring-list mutation and reader passes (flush,
-     * reset, totalDropped) against each other. The list itself is
-     * additionally published through the atomic head so the
-     * crash-signal path can traverse it without locking. */
-    mutable util::Mutex ringsMutex_;
-    /** Lock-free singly-linked ring list head; rings live until the
-     * log is destroyed (the global log never is). */
-    std::atomic<Ring *> ringsHead_{nullptr};
 };
 
 } // namespace lookhd::obs

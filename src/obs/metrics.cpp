@@ -1,10 +1,10 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "obs/json.hpp"
+#include "obs/thread_ring.hpp"
 
 namespace lookhd::obs {
 
@@ -28,17 +28,6 @@ logBinIndex(std::uint64_t clampedNs)
     const auto bin =
         static_cast<std::size_t>((logNs - kLogLo) / kBinWidth);
     return std::min(bin, kLogBins - 1);
-}
-
-std::uint64_t
-wallMillisNow()
-{
-    // Exemplar timestamps only; src/obs/ is the lint-sanctioned
-    // home for system_clock (see tools/lint_determinism.py).
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
 }
 
 } // namespace
@@ -75,7 +64,7 @@ LatencyHistogram::record(std::uint64_t ns,
     if (!exemplars_.empty() && !exemplarTraceId.empty()) {
         LatencyExemplar &slot = exemplars_[logBinIndex(clamped)];
         slot.valueNs = static_cast<double>(clamped);
-        slot.wallMs = wallMillisNow();
+        slot.wallMs = wallClockMs();
         slot.traceId = std::string(exemplarTraceId);
     }
 }

@@ -1,27 +1,15 @@
 #include "obs/reqtrace.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <ostream>
-#include <unordered_map>
 
 #include "obs/json.hpp"
 
 namespace lookhd::obs {
 
 namespace {
-
-std::uint64_t
-wallMillisNow()
-{
-    // Wall clock for record stamps and id seeding only (src/obs/ is
-    // the lint-sanctioned home for system_clock).
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-}
 
 /** splitmix64 finalizer: bijective, so distinct inputs stay distinct. */
 std::uint64_t
@@ -43,7 +31,7 @@ std::uint64_t
 nextIdWord()
 {
     static const std::uint64_t seed = mix64(
-        wallMillisNow() ^ 0x6c6f6f6b6864ULL); // "lookhd"
+        wallClockMs() ^ 0x6c6f6f6b6864ULL); // "lookhd"
     static std::atomic<std::uint64_t> counter{0};
     return mix64(seed ^ mix64(counter.fetch_add(
                      1, std::memory_order_relaxed)));
@@ -206,106 +194,26 @@ writeSlowRequestJson(JsonWriter &w, const SlowRequestRecord &r)
     w.endObject();
 }
 
-/**
- * Fixed-capacity overwrite-oldest ring, one per writer thread.
- * Chained into the log's lock-free list (nextRing immutable after
- * release-publication) exactly like EventLog::Ring, so readers reach
- * every ring without a registry of thread ids.
- */
-struct SlowRequestLog::Ring
-{
-    explicit Ring(std::size_t capacity) : records(capacity) {}
-
-    util::Mutex mutex;
-    std::vector<SlowRequestRecord> records LOOKHD_GUARDED_BY(mutex);
-    /** Next write position. */
-    std::size_t head LOOKHD_GUARDED_BY(mutex) = 0;
-    std::size_t size LOOKHD_GUARDED_BY(mutex) = 0;
-    /** List link; written before publication, immutable after. */
-    Ring *nextRing = nullptr;
-
-    void
-    push(SlowRequestRecord &&r)
-    {
-        const util::MutexLock lock(mutex);
-        records[head] = std::move(r);
-        head = (head + 1) % records.size();
-        size = std::min(size + 1, records.size());
-    }
-};
-
-namespace {
-
-std::uint64_t
-nextSlowLogId()
-{
-    static std::atomic<std::uint64_t> next{0};
-    return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-} // namespace
-
 SlowRequestLog::SlowRequestLog(std::size_t ringCapacity)
-    : id_(nextSlowLogId()),
-      ringCapacity_(ringCapacity == 0 ? 1 : ringCapacity)
+    : rings_(ringCapacity)
 {
-}
-
-SlowRequestLog::~SlowRequestLog()
-{
-    Ring *ring = ringsHead_.load(std::memory_order_acquire);
-    while (ring != nullptr) {
-        Ring *next = ring->nextRing;
-        delete ring;
-        ring = next;
-    }
-}
-
-SlowRequestLog::Ring &
-SlowRequestLog::ringForThisThread()
-{
-    // Keyed by the process-unique id_ so a destroyed instance's
-    // cache entry is merely stale, never a dangling hit (the same
-    // scheme as EventLog::ringForThisThread).
-    thread_local std::unordered_map<std::uint64_t, Ring *> cache;
-    const auto it = cache.find(id_);
-    if (it != cache.end())
-        return *it->second;
-    auto *ring = new Ring(ringCapacity_);
-    {
-        const util::MutexLock lock(ringsMutex_);
-        ring->nextRing = ringsHead_.load(std::memory_order_relaxed);
-        ringsHead_.store(ring, std::memory_order_release);
-    }
-    cache[id_] = ring;
-    return *ring;
 }
 
 void
 SlowRequestLog::record(SlowRequestRecord r)
 {
     r.seq = nextSeq_.fetch_add(1, std::memory_order_relaxed);
-    r.wallMs = wallMillisNow();
-    ringForThisThread().push(std::move(r));
+    r.wallMs = wallClockMs();
+    rings_.push(std::move(r));
 }
 
 std::vector<SlowRequestRecord>
 SlowRequestLog::snapshot() const
 {
     std::vector<SlowRequestRecord> out;
-    {
-        const util::MutexLock lock(ringsMutex_);
-        for (Ring *ring = ringsHead_.load(std::memory_order_acquire);
-             ring != nullptr; ring = ring->nextRing) {
-            const util::MutexLock ringLock(ring->mutex);
-            const std::size_t cap = ring->records.size();
-            const std::size_t oldest =
-                (ring->head + cap - ring->size) % cap;
-            for (std::size_t i = 0; i < ring->size; ++i)
-                out.push_back(
-                    ring->records[(oldest + i) % cap]);
-        }
-    }
+    for (auto &ring : rings_.snapshot())
+        std::move(ring.items.begin(), ring.items.end(),
+                  std::back_inserter(out));
     std::sort(out.begin(), out.end(),
               [](const SlowRequestRecord &a,
                  const SlowRequestRecord &b) {

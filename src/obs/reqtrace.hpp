@@ -25,13 +25,12 @@
  * server-side; either way the id is echoed in the response so
  * clients can cross-reference server-side records.
  *
- * SlowRequestLog reuses the eventlog's publication pattern
- * (obs/eventlog.hpp): one mutex-guarded ring per writer thread,
- * rings chained through a release-published lock-free list, so the
- * steady-state append never contends with readers draining another
- * thread's ring. Unlike the event log, reads here are
- * NON-destructive - /debug/requests is a peek, and file flushing is
- * incremental via the per-record global sequence number.
+ * SlowRequestLog keeps its records in the per-thread ring the event
+ * log uses (obs/thread_ring.hpp): one mutex-guarded ring per writer
+ * thread, so the steady-state append never contends with readers
+ * copying another thread's ring. Unlike the event log, reads here
+ * are NON-destructive - /debug/requests is a peek, and file flushing
+ * is incremental via the per-record global sequence number.
  *
  * This file lives in src/obs/ deliberately: record wall-clock
  * stamps and trace-id seeding use std::chrono::system_clock, which
@@ -56,7 +55,7 @@
 #include <string_view>
 #include <vector>
 
-#include "util/thread_annotations.hpp"
+#include "obs/thread_ring.hpp"
 
 #ifndef LOOKHD_OBS_ENABLED
 #define LOOKHD_OBS_ENABLED 1
@@ -199,18 +198,17 @@ void writeSlowRequestJson(JsonWriter &w, const SlowRequestRecord &r);
  * Bounded capture ring for slow/sampled requests.
  *
  * Same shape as EventLog: each writer thread owns one fixed-capacity
- * overwrite-oldest ring (uncontended mutex), rings are chained into
- * a lock-free release-published list owned by the log. Readers are
- * non-destructive: snapshot() returns a seq-ordered copy for
- * /debug/requests, writeJsonLines() appends only records newer than
- * a caller-held watermark so a periodic file flush never duplicates.
+ * overwrite-oldest ring (uncontended mutex), owned by the log.
+ * Readers are non-destructive: snapshot() returns a seq-ordered copy
+ * for /debug/requests, writeJsonLines() appends only records newer
+ * than a caller-held watermark so a periodic file flush never
+ * duplicates.
  */
 class SlowRequestLog
 {
   public:
     /** @param ringCapacity Records retained per writer thread. */
     explicit SlowRequestLog(std::size_t ringCapacity = 256);
-    ~SlowRequestLog();
 
     SlowRequestLog(const SlowRequestLog &) = delete;
     SlowRequestLog &operator=(const SlowRequestLog &) = delete;
@@ -233,19 +231,8 @@ class SlowRequestLog
     std::uint64_t totalCaptured() const;
 
   private:
-    struct Ring;
-
-    Ring &ringForThisThread();
-
-    /** Process-unique instance id keying the thread-local ring
-     * cache (same scheme as EventLog). */
-    const std::uint64_t id_;
-    const std::size_t ringCapacity_;
+    ThreadRing<SlowRequestRecord> rings_;
     std::atomic<std::uint64_t> nextSeq_{1};
-    /** Guards ring-list mutation and multi-ring reader passes. */
-    mutable util::Mutex ringsMutex_;
-    /** Release-published list head; rings live until destruction. */
-    std::atomic<Ring *> ringsHead_{nullptr};
 };
 
 } // namespace lookhd::obs

@@ -1,20 +1,10 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "util/check.hpp"
 
 namespace lookhd::obs {
-
-std::uint64_t
-wallClockMs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-}
 
 // ---------------------------------------------------------- WindowStats
 

@@ -53,13 +53,6 @@ namespace lookhd::obs {
 inline constexpr bool kWindowsCompiled = LOOKHD_OBS_ENABLED != 0;
 
 /**
- * Unix wall clock in milliseconds. Lives here because system_clock
- * is lint-banned outside src/obs/ (tools/lint_determinism.py); the
- * serve sampler uses it to wall-stamp windows.
- */
-std::uint64_t wallClockMs();
-
-/**
  * Aggregates of one sampling window: deltas between two consecutive
  * cumulative snapshots, plus derived rates/ratios/quantiles.
  */

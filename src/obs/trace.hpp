@@ -12,9 +12,10 @@
  *     Self time excludes nested child spans, so a rollup sums to
  *     wall time without double counting.
  *  2. Events (opt-in via setTracing(true)): completed spans are
- *     pushed into a fixed-capacity per-thread ring buffer and can be
- *     exported as Chrome trace_event JSON, viewable in
- *     about:tracing or Perfetto (ui.perfetto.dev).
+ *     pushed into a fixed-capacity per-thread ring
+ *     (obs/thread_ring.hpp) and can be exported as Chrome
+ *     trace_event JSON, viewable in about:tracing or Perfetto
+ *     (ui.perfetto.dev).
  *
  * Instrumentation sites use the LOOKHD_SPAN macro from obs/obs.hpp,
  * which compiles to nothing when the library is built with
@@ -36,12 +37,6 @@
 #include <vector>
 
 namespace lookhd::obs {
-
-/**
- * Hardware-counter slots a span can sample (see obs/perfcounters.hpp
- * for the event list and the opt-in switch).
- */
-inline constexpr std::size_t kPerfEventSlots = 4;
 
 /**
  * Static identity of one instrumentation site, plus its rollup
@@ -84,33 +79,6 @@ class SpanSite
         return selfNs_.load(std::memory_order_relaxed);
     }
 
-    /**
-     * Fold one span's hardware-counter deltas into the rollup.
-     * @p delta has kPerfEventSlots entries; only slots set in
-     * @p mask are accumulated.
-     */
-    void accumulatePerf(const std::uint64_t *delta,
-                        std::uint32_t mask);
-
-    std::uint64_t
-    perfSamples() const
-    {
-        return perfSamples_.load(std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    perfTotal(std::size_t slot) const
-    {
-        return perfTotals_[slot].load(std::memory_order_relaxed);
-    }
-
-    /** Union of event masks over every accumulated sample. */
-    std::uint32_t
-    perfMask() const
-    {
-        return perfMask_.load(std::memory_order_relaxed);
-    }
-
     void reset();
 
   private:
@@ -119,9 +87,6 @@ class SpanSite
     std::atomic<std::uint64_t> count_{0};
     std::atomic<std::uint64_t> totalNs_{0};
     std::atomic<std::uint64_t> selfNs_{0};
-    std::atomic<std::uint64_t> perfSamples_{0};
-    std::atomic<std::uint64_t> perfTotals_[kPerfEventSlots]{};
-    std::atomic<std::uint32_t> perfMask_{0};
 };
 
 /** Snapshot of one site's rollup. */
@@ -137,12 +102,6 @@ struct SpanStats
 
 /** Rollup snapshot across all sites (sites with count 0 omitted). */
 std::vector<SpanStats> spanRollup();
-
-/**
- * Every registered instrumentation site (stable addresses: sites are
- * function-local statics). Used by the perf-counter rollup.
- */
-std::vector<SpanSite *> spanSites();
 
 /**
  * In a rollup snapshot, the totalNs of @p name (0 if absent);
@@ -191,16 +150,13 @@ class TraceSpan
     std::uint64_t startNs_ = 0;
     std::uint64_t childNs_ = 0;
     std::uint32_t depth_ = 0;
-    /** Entry counter snapshot; only valid where perfMask_ bits set. */
-    std::uint64_t perfStart_[kPerfEventSlots];
-    std::uint32_t perfMask_ = 0;
 };
 
 /**
  * Export every recorded event as a Chrome trace_event JSON document
  * ({"traceEvents":[...]}; load in about:tracing or Perfetto). Ring
- * overflow drops the oldest events per thread; the number dropped is
- * reported in the document's metadata.
+ * overflow drops the oldest events per thread; the number dropped,
+ * exited threads included, is reported in the document's metadata.
  */
 void writeChromeTrace(std::ostream &out);
 

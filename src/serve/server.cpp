@@ -16,6 +16,7 @@
 #include "obs/obs.hpp"
 #include "obs/procstats.hpp"
 #include "obs/profiler.hpp"
+#include "obs/thread_ring.hpp"
 #include "obs/trace.hpp"
 #include "serve/jsonin.hpp"
 #include "util/timer.hpp"

@@ -220,6 +220,37 @@ TEST(EventLogCrash, FlushCrashToFdWritesParsableJsonWithoutDraining)
     std::remove(path.c_str());
 }
 
+TEST(EventLogCrash, FlushCrashToFdMarksDropsWithTheirCount)
+{
+    EventLog log(2);
+    for (int i = 0; i < 5; ++i)
+        log.emit(LogLevel::kInfo, "crash.e" + std::to_string(i));
+
+    const std::string path =
+        ::testing::TempDir() + "eventlog_crash_drops.jsonl";
+    const int fd =
+        ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    ASSERT_GE(fd, 0);
+    EXPECT_TRUE(log.flushCrashToFd(fd));
+    ASSERT_EQ(::close(fd), 0);
+
+    // The drop marker, then the two newest events.
+    const auto lines = readLines(path);
+    ASSERT_EQ(lines.size(), 3u);
+    std::string error;
+    const auto marker = serve::parseJson(lines[0], error);
+    ASSERT_NE(marker, nullptr) << error << ": " << lines[0];
+    EXPECT_EQ(marker->find("event")->string, "eventlog.dropped");
+    const serve::JsonValue *dropped =
+        marker->find("fields")->find("dropped");
+    ASSERT_NE(dropped, nullptr) << lines[0];
+    EXPECT_EQ(dropped->string, "3");
+    const auto newest = serve::parseJson(lines[2], error);
+    ASSERT_NE(newest, nullptr) << error;
+    EXPECT_EQ(newest->find("event")->string, "crash.e4");
+    std::remove(path.c_str());
+}
+
 TEST(EventLogCrash, FatalSignalFlushesGlobalLogInChildProcess)
 {
     const std::string path =

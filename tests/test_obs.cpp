@@ -311,6 +311,38 @@ TEST(Spans, ChromeTraceExportsRecordedEvents)
     EXPECT_EQ(events, 3u);
 }
 
+void
+leafPhase()
+{
+    LOOKHD_SPAN("test.obs.leaf", "train");
+}
+
+TEST(Spans, ChromeTraceCountsDropsOfExitedThreads)
+{
+    // Overflow the per-thread event ring (2^14 events) by 100 on a
+    // thread that then exits and by 100 on this one: the exported
+    // drop count must include the exited thread's drops.
+    constexpr int kSpans = (1 << 14) + 100;
+    obs::resetSpans();
+    obs::setTracing(true);
+    std::thread exited([] {
+        for (int i = 0; i < kSpans; ++i)
+            leafPhase();
+    });
+    exited.join();
+    for (int i = 0; i < kSpans; ++i)
+        leafPhase();
+    obs::setTracing(false);
+    std::ostringstream out;
+    obs::writeChromeTrace(out);
+    const std::string doc = out.str();
+    const std::size_t meta = doc.find("\"otherData\"");
+    ASSERT_NE(meta, std::string::npos);
+    EXPECT_NE(doc.find("\"dropped_events\":200", meta),
+              std::string::npos)
+        << doc.substr(meta);
+}
+
 TEST(Spans, ConcurrentSpansAccumulateLosslessly)
 {
     obs::resetSpans();

@@ -15,7 +15,6 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "obs/perfcounters.hpp"
 #include "obs/quality.hpp"
 #include "obs/trace.hpp"
 
@@ -77,10 +76,6 @@ TEST(ObsGate, ObsClassesStillLinkWhenOff)
     obs::MarginHistogram h;
     h.record(0.5);
     EXPECT_EQ(h.count(), 1u);
-
-    obs::JsonWriter w;
-    obs::writePerfJson(w);
-    EXPECT_NE(w.str().find("\"available\""), std::string::npos);
 
     EXPECT_NO_THROW(obs::QualityTelemetry::global().toJson());
 }

@@ -22,7 +22,7 @@ Round trip, in one process tree:
      validate_prometheus.check_text and assert the request counter
      is nonzero, the latency histogram has buckets, and the batched
      predict path was exercised (at least one batch of size > 1),
-  6. scrape GET /metrics.json and assemble a ``lookhd-bench-v2``
+  6. scrape GET /metrics.json and assemble a ``lookhd-bench-v3``
      BENCH_serve_smoke.json (server-side latency quantiles + client
      QPS in `metrics`) into --out-dir, validated with
      validate_bench_json.check_file so tools/bench_compare.py can
@@ -468,7 +468,7 @@ def emit_bench_json(snapshot: dict, loadgen: re.Match,
         git_rev = "unknown"
 
     doc = {
-        "schema": "lookhd-bench-v2",
+        "schema": "lookhd-bench-v3",
         "name": "serve_smoke",
         "git_rev": git_rev,
         "quick": quick,
@@ -496,8 +496,6 @@ def emit_bench_json(snapshot: dict, loadgen: re.Match,
         "span_rollup": snapshot.get("span_rollup", []),
         "quality": snapshot.get("quality",
                                 {"margins": {}, "confusion": {}}),
-        "perf_counters": {"requested": False, "available": False,
-                          "spans": []},
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "BENCH_serve_smoke.json"

@@ -24,7 +24,7 @@ import bench_compare  # noqa: E402
 
 def make_doc(name: str, metrics: dict, quick: bool = True) -> dict:
     return {
-        "schema": "lookhd-bench-v2",
+        "schema": "lookhd-bench-v3",
         "name": name,
         "git_rev": "selftest",
         "quick": quick,
@@ -34,8 +34,6 @@ def make_doc(name: str, metrics: dict, quick: bool = True) -> dict:
                      "labels": {}},
         "span_rollup": [],
         "quality": {"margins": {}, "confusion": {}},
-        "perf_counters": {"requested": False, "available": False,
-                          "spans": []},
     }
 
 

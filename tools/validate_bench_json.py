@@ -2,13 +2,14 @@
 """Schema check for the BENCH_*.json files the bench binaries emit.
 
 Every bench links bench/common.hpp's BenchReporter, which writes one
-`BENCH_<name>.json` per run (schema `lookhd-bench-v2`). Downstream
+`BENCH_<name>.json` per run (schema `lookhd-bench-v3`). Downstream
 perf tooling (tools/bench_compare.py) diffs those files across
 commits, so CI validates that the schema never drifts: required keys
 present, types right, the `name` field consistent with the filename,
-and the v2 `quality` / `perf_counters` sections well-formed. Files
-still claiming the retired `lookhd-bench-v1` schema are rejected -
-they predate quality telemetry and must be regenerated.
+and the `quality` section well-formed. Files still claiming a retired
+schema are rejected and must be regenerated: `lookhd-bench-v1`
+predates quality telemetry, and `lookhd-bench-v2` carries the
+`perf_counters` section v3 dropped.
 
 Usage:
     validate_bench_json.py FILE_OR_DIR [FILE_OR_DIR ...]
@@ -27,8 +28,8 @@ import json
 import sys
 from pathlib import Path
 
-SCHEMA = "lookhd-bench-v2"
-RETIRED_SCHEMAS = ("lookhd-bench-v1",)
+SCHEMA = "lookhd-bench-v3"
+RETIRED_SCHEMAS = ("lookhd-bench-v1", "lookhd-bench-v2")
 
 # Top-level key -> required JSON type.
 TOP_LEVEL = {
@@ -41,7 +42,6 @@ TOP_LEVEL = {
     "registry": dict,
     "span_rollup": list,
     "quality": dict,
-    "perf_counters": dict,
 }
 
 REGISTRY_SECTIONS = ("counters", "gauges", "latency", "labels")
@@ -62,8 +62,6 @@ MARGIN_FIELDS = ("count", "negatives", "mean", "min", "max",
 
 CONFUSION_FIELDS = ("classes", "total", "correct", "accuracy",
                     "counts")
-
-PERF_SPAN_FIELDS = ("name", "samples")
 
 # Per-bench contracts: benches whose downstream gating depends on
 # specific metrics / config keys being present. bench_compare.py can
@@ -107,7 +105,7 @@ def check_file(path: Path) -> list[str]:
 
     if doc.get("schema") in RETIRED_SCHEMAS:
         bad(f"schema '{doc['schema']}' is retired; regenerate with a "
-            f"'{SCHEMA}' emitter (it lacks quality/perf sections)")
+            f"'{SCHEMA}' emitter")
     elif doc.get("schema") not in (None, SCHEMA):
         bad(f"schema is '{doc['schema']}', expected '{SCHEMA}'")
 
@@ -168,7 +166,7 @@ def check_file(path: Path) -> list[str]:
                     bad(f"span_rollup[{i}].{field} has wrong type "
                         f"{type(span[field]).__name__}")
 
-    # v2 quality section: margin histograms + confusion counters.
+    # quality section: margin histograms + confusion counters.
     # Empty sub-objects are fine (OBS=OFF builds emit them empty).
     quality = doc.get("quality")
     if isinstance(quality, dict):
@@ -210,28 +208,6 @@ def check_file(path: Path) -> list[str]:
                         len(counts) != classes:
                     bad(f"quality.confusion.{cname}: {len(counts)} "
                         f"count rows but {classes} classes")
-
-    # v2 perf_counters section: absent counters are the common case
-    # (non-Linux, perf_event_paranoid), so only shape is checked.
-    perf = doc.get("perf_counters")
-    if isinstance(perf, dict):
-        for field, kind in (("requested", bool), ("available", bool),
-                            ("spans", list)):
-            if field not in perf:
-                bad(f"perf_counters missing '{field}'")
-            elif not isinstance(perf[field], kind):
-                bad(f"perf_counters.{field} must be "
-                    f"{kind.__name__}")
-        spans = perf.get("spans")
-        if isinstance(spans, list):
-            for i, span in enumerate(spans):
-                if not isinstance(span, dict):
-                    bad(f"perf_counters.spans[{i}] must be an object")
-                    continue
-                for field in PERF_SPAN_FIELDS:
-                    if field not in span:
-                        bad(f"perf_counters.spans[{i}] missing "
-                            f"'{field}'")
 
     return problems
 
