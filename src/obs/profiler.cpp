@@ -11,7 +11,6 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/timer.hpp"
 
@@ -155,7 +154,6 @@ struct RawSample
     void *frames[kMaxFrames];
     std::uint32_t depth = 0;
     std::uint8_t stage = kProfileStageNone;
-    const SpanSite *site = nullptr;
 };
 
 /**
@@ -207,8 +205,6 @@ struct ProfilerState
         LOOKHD_GUARDED_BY(mutex);
     std::array<std::uint64_t, kProfileStageSlots> stageSamples
         LOOKHD_GUARDED_BY(mutex){};
-    std::map<const SpanSite *, std::uint64_t> siteSamples
-        LOOKHD_GUARDED_BY(mutex);
     std::uint64_t kept LOOKHD_GUARDED_BY(mutex) = 0;
     std::uint64_t droppedPending LOOKHD_GUARDED_BY(mutex) = 0;
     std::uint64_t windowStartNs LOOKHD_GUARDED_BY(mutex) = 0;
@@ -236,8 +232,8 @@ profilerState()
  * The SIGPROF handler. Async-signal-safe by construction: reads a
  * thread_local pointer materialized before the timer was armed,
  * calls backtrace(3) (libgcc pre-loaded by the start()-time
- * warm-up), loads two relaxed atomics, writes one ring slot. No
- * allocation, no locks, errno preserved.
+ * warm-up), loads the published stage byte, writes one ring slot.
+ * No allocation, no locks, errno preserved.
  */
 void
 sigprofHandler(int /*signo*/, siginfo_t * /*info*/,
@@ -261,7 +257,6 @@ sigprofHandler(int /*signo*/, siginfo_t * /*info*/,
         slot.frames, static_cast<int>(kMaxFrames));
     slot.depth =
         depth <= 0 ? 0 : static_cast<std::uint32_t>(depth);
-    slot.site = tp->publish.site.load(std::memory_order_relaxed);
     slot.stage = tp->publish.stage.load(std::memory_order_relaxed);
     tp->head.store(head + 1, std::memory_order_release);
     errno = savedErrno;
@@ -368,8 +363,6 @@ drainLocked(ProfilerState &state, ThreadProfile &tp)
                 ? s.stage
                 : kReqStageCount; // "none" bucket
         ++state.stageSamples[stageIdx];
-        if (s.site != nullptr)
-            ++state.siteSamples[s.site];
         ++state.kept;
     }
     tp.tail.store(tail, std::memory_order_release);
@@ -587,15 +580,6 @@ Profiler::collect()
                   return a.samples > b.samples;
               });
 
-    std::map<std::string, std::uint64_t> sites;
-    for (const auto &[site, count] : state.siteSamples)
-        sites[site->name()] += count;
-    report.siteSamples.assign(sites.begin(), sites.end());
-    std::sort(report.siteSamples.begin(), report.siteSamples.end(),
-              [](const auto &a, const auto &b) {
-                  return a.second > b.second;
-              });
-
     // Fold into the cumulative profile.* gauges.
     const std::uint64_t period = report.periodNs();
     MetricRegistry &registry = MetricRegistry::global();
@@ -612,7 +596,6 @@ Profiler::collect()
         .set(static_cast<double>(state.cumDropped));
 
     state.stacks.clear();
-    state.siteSamples.clear();
     state.stageSamples = {};
     state.kept = 0;
     state.droppedPending = 0;

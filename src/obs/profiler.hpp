@@ -9,11 +9,11 @@
  * nothing and produce no samples. The handler is async-signal-safe
  * in the style of the event log's crash flush (obs/eventlog.cpp): it
  * calls backtrace(3) (warmed up before any timer is armed, so the
- * lazy libgcc load never happens in signal context), reads two
- * relaxed thread-local atomics (the current TraceSpan site and the
- * current request stage), and appends one fixed-size record to a
- * lock-free per-thread SPSC ring. Zero allocation, zero locks; a
- * full ring increments a drop counter instead of blocking.
+ * lazy libgcc load never happens in signal context), reads one
+ * relaxed thread-local atomic (the current request stage), and
+ * appends one fixed-size record to a lock-free per-thread SPSC
+ * ring. Zero allocation, zero locks; a full ring increments a drop
+ * counter instead of blocking.
  *
  * Everything expensive happens off the signal path at collection
  * time: drain() folds the rings into an address-keyed aggregation,
@@ -64,8 +64,6 @@
 
 namespace lookhd::obs {
 
-class SpanSite;
-
 /** Compile-time profiler gate (follows -DLOOKHD_OBS, Linux-only). */
 inline constexpr bool kProfilerCompiled =
     LOOKHD_PROFILER_AVAILABLE != 0;
@@ -94,7 +92,6 @@ namespace detail {
  */
 struct ProfilePublish
 {
-    std::atomic<const SpanSite *> site{nullptr};
     std::atomic<std::uint8_t> stage{kProfileStageNone};
 };
 
@@ -102,20 +99,6 @@ struct ProfilePublish
 extern thread_local ProfilePublish *tProfilePublish;
 
 } // namespace detail
-
-/**
- * Publish the current span site for sample attribution. Called by
- * TraceSpan on entry/exit; one thread-local load plus one relaxed
- * store when the thread is registered, one load otherwise.
- */
-inline void
-profilerPublishSite([[maybe_unused]] const SpanSite *site)
-{
-#if LOOKHD_PROFILER_AVAILABLE
-    if (detail::ProfilePublish *slot = detail::tProfilePublish)
-        slot->site.store(site, std::memory_order_relaxed);
-#endif
-}
 
 /**
  * Publish the current request stage (a ReqStage value, or
@@ -173,9 +156,6 @@ struct ProfileReport
     /** Samples per request stage; index 0..5 = ReqStage, index
      * kReqStageCount = off-pipeline ("none"). */
     std::array<std::uint64_t, kProfileStageSlots> stageSamples{};
-
-    /** Samples per active TraceSpan site name, descending. */
-    std::vector<std::pair<std::string, std::uint64_t>> siteSamples;
 
     /** Aggregated stacks, descending by sample count. */
     std::vector<ProfileStack> stacks;

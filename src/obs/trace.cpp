@@ -6,7 +6,6 @@
 #include <ostream>
 
 #include "obs/json.hpp"
-#include "obs/profiler.hpp"
 #include "obs/thread_ring.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/timer.hpp"
@@ -174,7 +173,6 @@ TraceSpan::TraceSpan(SpanSite &site)
     site_ = &site;
     parent_ = tCurrentSpan;
     tCurrentSpan = this;
-    profilerPublishSite(site_);
     depth_ = parent_ ? parent_->depth_ + 1 : 0;
     startNs_ = util::Timer::processNanoseconds();
 }
@@ -189,7 +187,6 @@ TraceSpan::~TraceSpan()
     if (parent_)
         parent_->childNs_ += dur;
     tCurrentSpan = parent_;
-    profilerPublishSite(parent_ ? parent_->site_ : nullptr);
     if (tracing())
         traceEvents().push({site_, startNs_, dur, depth_});
 }

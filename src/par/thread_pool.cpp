@@ -15,7 +15,7 @@ thread_local bool tOnWorker = false;
 } // namespace
 
 /**
- * One parallelFor (or post) call. Workers and the caller claim chunks
+ * One parallelFor call. Workers and the caller claim chunks
  * through nextChunk until exhausted; the last finished chunk signals
  * done. The job outlives the queue entry via shared_ptr, so a worker
  * still running a chunk after the caller returns from wait() (it
@@ -58,8 +58,6 @@ ThreadPool::~ThreadPool()
     cv_.notifyAll();
     for (std::thread &w : workers_)
         w.join();
-    // No workers (threads_ == 1): posted tasks were run inline, and
-    // with workers the loop above only exits after the queue drained.
 }
 
 bool
@@ -177,30 +175,6 @@ ThreadPool::parallelFor(
     }
 }
 
-void
-ThreadPool::post(std::function<void()> task)
-{
-    if (threads_ <= 1 || tOnWorker) {
-        task();
-        return;
-    }
-    auto job = std::make_shared<Job>();
-    job->body = [moved = std::move(task)](std::size_t, std::size_t) {
-        moved();
-    };
-    job->begin = 0;
-    job->end = 1;
-    job->chunkSize = 1;
-    job->numChunks = 1;
-    job->unfinished.store(1, std::memory_order_relaxed);
-    {
-        const util::MutexLock lock(mutex_);
-        LOOKHD_CHECK(!stop_, "post on a stopped ThreadPool");
-        jobs_.push_back(std::move(job));
-    }
-    cv_.notifyOne();
-}
-
 std::size_t
 resolveThreads(std::size_t requested)
 {
@@ -208,13 +182,6 @@ resolveThreads(std::size_t requested)
         return requested;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
-}
-
-ThreadPool &
-globalPool()
-{
-    static ThreadPool pool(resolveThreads(0));
-    return pool;
 }
 
 } // namespace lookhd::par

@@ -18,9 +18,7 @@
  *    on the calling thread after the remaining chunks drain;
  *  - nested parallelFor from inside a chunk body runs inline on the
  *    current thread, so composed parallel code cannot deadlock the
- *    pool;
- *  - post() is a fire-and-forget escape hatch; the destructor drains
- *    all queued work before joining.
+ *    pool.
  *
  * Determinism: parallelFor only decides *which thread* runs which
  * contiguous chunk; callers that write disjoint output slots (or merge
@@ -55,7 +53,7 @@ class ThreadPool
      */
     explicit ThreadPool(std::size_t threads);
 
-    /** Drains queued work, then joins the workers. */
+    /** Joins the workers. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -79,14 +77,6 @@ class ThreadPool
                          &body,
                      std::size_t minChunk = 1);
 
-    /**
-     * Fire-and-forget task. Exceptions escaping the task are
-     * swallowed (there is no caller to rethrow to); prefer
-     * parallelFor for anything that can fail. All posted tasks run
-     * before the destructor returns.
-     */
-    void post(std::function<void()> task);
-
     /** True on a pool worker thread (any pool's). */
     static bool onWorkerThread();
 
@@ -109,13 +99,6 @@ class ThreadPool
  * thread, otherwise the value itself (>= 1).
  */
 std::size_t resolveThreads(std::size_t requested);
-
-/**
- * Process-wide pool shared by library batch paths, sized lazily to
- * resolveThreads(0) on first use. Use a dedicated ThreadPool instead
- * when a component needs its own sizing.
- */
-ThreadPool &globalPool();
 
 } // namespace lookhd::par
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -88,19 +89,32 @@ struct InferenceServer::Connection
     TcpStream stream;
     util::Mutex writeMutex;
     std::atomic<bool> open{true};
+    /** Set as the reader thread's last act: it can be joined. */
+    std::atomic<bool> readerDone{false};
 
-    /** Serialize one response line; false once the peer went away. */
+    /** Send one response line in a single send(2); false once the
+     * peer went away. */
     bool
-    writeLine(const std::string &body)
+    writeLine(std::string body)
     {
+        body += '\n';
         const util::MutexLock lock(writeMutex);
         if (!open.load(std::memory_order_relaxed))
             return false;
-        if (!stream.sendAll(body) || !stream.sendAll("\n")) {
+        if (!stream.sendAll(body)) {
             open.store(false, std::memory_order_relaxed);
             return false;
         }
         return true;
+    }
+
+    /** Release the socket; writes still pending see open == false. */
+    void
+    close()
+    {
+        const util::MutexLock lock(writeMutex);
+        open.store(false, std::memory_order_relaxed);
+        stream.close();
     }
 };
 
@@ -113,8 +127,6 @@ struct InferenceServer::Request
     std::vector<double> features;
     bool wantScores = false;
     std::uint64_t enqueueNs = 0;
-    /** processNanoseconds() when a worker popped this request. */
-    std::uint64_t popNs = 0;
     obs::RequestContext ctx;
 };
 
@@ -258,9 +270,7 @@ InferenceServer::InferenceServer(Classifier classifier,
       healthReady_(obs::MetricRegistry::global().gauge(
           "serve.health.ready")),
       requestLatency_(obs::MetricRegistry::global().latency(
-          "serve.request.latency")),
-      batchGatherLatency_(obs::MetricRegistry::global().latency(
-          "serve.batch.gather"))
+          "serve.request.latency"))
 {
     if (!classifier_.fitted())
         throw std::invalid_argument(
@@ -375,19 +385,18 @@ InferenceServer::stop()
 
     // 2. EOF every reader (write side stays up so queued responses
     //    still go out), then join them: no further enqueues. The
-    //    thread vector is swapped out under the mutex and joined
+    //    reader list is swapped out under the mutex and joined
     //    outside it - the accept loop is already down, and joining
     //    under a lock the readers could touch would deadlock.
-    std::vector<std::thread> readers;
+    std::vector<Reader> readers;
     {
         const util::MutexLock lock(connectionsMutex_);
-        for (const auto &conn : connections_)
-            conn->stream.shutdownRead();
-        readers.swap(connectionThreads_);
+        for (const Reader &r : readers_)
+            r.conn->stream.shutdownRead();
+        readers.swap(readers_);
     }
-    for (std::thread &t : readers)
-        if (t.joinable())
-            t.join();
+    for (Reader &r : readers)
+        r.thread.join();
 
     // 3. Let the workers drain whatever is left, then exit.
     stopWorkers_.store(true, std::memory_order_release);
@@ -404,15 +413,9 @@ InferenceServer::stop()
     if (samplerThread_.joinable())
         samplerThread_.join();
 
-    {
-        const util::MutexLock lock(connectionsMutex_);
-        for (const auto &conn : connections_) {
-            conn->open.store(false, std::memory_order_relaxed);
-            conn->stream.close();
-        }
-        connections_.clear();
-        connectionsOpen_.set(0.0);
-    }
+    for (Reader &r : readers)
+        r.conn->close();
+    connectionsOpen_.set(0.0);
     workerThreads_.clear();
 
     obs::EventLog::global().emit(
@@ -435,6 +438,7 @@ void
 InferenceServer::acceptLoop()
 {
     while (running_.load(std::memory_order_acquire)) {
+        reapClosedConnections();
         TcpStream stream;
         try {
             stream = requestListener_.accept(100);
@@ -446,15 +450,33 @@ InferenceServer::acceptLoop()
         connectionsTotal_.add();
         auto conn = std::make_shared<Connection>(std::move(stream));
         const util::MutexLock lock(connectionsMutex_);
-        connections_.push_back(conn);
-        // Reader threads are reaped in stop(); connection turnover
-        // at serve-smoke scale does not warrant a reaper thread yet.
-        connectionThreads_.emplace_back(
-            [this, conn] { connectionLoop(conn); });
+        readers_.push_back(
+            {conn, std::thread([this, conn] { connectionLoop(conn); })});
         connectionsOpen_.set(static_cast<double>(
             openConnections_.fetch_add(1,
                                        std::memory_order_relaxed) +
             1));
+    }
+}
+
+void
+InferenceServer::reapClosedConnections()
+{
+    std::vector<Reader> finished;
+    {
+        const util::MutexLock lock(connectionsMutex_);
+        const auto done = std::partition(
+            readers_.begin(), readers_.end(), [](const Reader &r) {
+                return !r.conn->readerDone.load(
+                    std::memory_order_acquire);
+            });
+        finished.assign(std::make_move_iterator(done),
+                        std::make_move_iterator(readers_.end()));
+        readers_.erase(done, readers_.end());
+    }
+    for (Reader &r : finished) {
+        r.thread.join();
+        r.conn->close();
     }
 }
 
@@ -484,6 +506,7 @@ InferenceServer::connectionLoop(std::shared_ptr<Connection> conn)
         1));
     obs::EventLog::global().emit(obs::LogLevel::kDebug,
                                  "serve.conn.close");
+    conn->readerDone.store(true, std::memory_order_release);
 }
 
 void
@@ -587,8 +610,11 @@ InferenceServer::workerLoop(std::size_t workerIndex)
 {
     obs::Profiler::registerCurrentThread();
     WorkerState &state = *workerStates_[workerIndex];
+    const std::size_t batchMax =
+        std::max<std::size_t>(config_.batchMaxSize, 1);
     while (true) {
         std::vector<Request> batch;
+        std::uint64_t dequeuedNs = 0;
         obs::profilerPublishStage(obs::ReqStage::kBatchForm);
         {
             const util::MutexLock lock(queueMutex_);
@@ -597,41 +623,24 @@ InferenceServer::workerLoop(std::size_t workerIndex)
             while (queue_.empty() &&
                    !stopWorkers_.load(std::memory_order_acquire))
                 queueCv_.wait(queueMutex_);
-            if (queue_.empty() &&
-                stopWorkers_.load(std::memory_order_acquire))
+            if (queue_.empty()) // stopping, and nothing left to drain
                 return;
-            const std::uint64_t gatherStart =
-                util::Timer::processNanoseconds();
-            batch.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-            batch.back().popNs = gatherStart;
-            const auto deadline =
-                std::chrono::steady_clock::now() +
-                std::chrono::microseconds(config_.batchMaxDelayUs);
-            while (batch.size() < config_.batchMaxSize) {
-                if (!queue_.empty()) {
-                    batch.push_back(std::move(queue_.front()));
-                    queue_.pop_front();
-                    batch.back().popNs =
-                        util::Timer::processNanoseconds();
-                    continue;
-                }
-                if (stopWorkers_.load(std::memory_order_acquire))
-                    break;
-                if (queueCv_.waitUntil(queueMutex_, deadline) ==
-                    std::cv_status::timeout)
-                    break;
-            }
+            // Work-conserving: take what is queued and dispatch now;
+            // never sleep for a batch to fill.
+            dequeuedNs = util::Timer::processNanoseconds();
+            const std::size_t take = std::min(queue_.size(), batchMax);
+            std::move(queue_.begin(), queue_.begin() + take,
+                      std::back_inserter(batch));
+            queue_.erase(queue_.begin(), queue_.begin() + take);
             queueDepth_.set(static_cast<double>(queue_.size()));
-            batchGatherLatency_.record(
-                util::Timer::processNanoseconds() - gatherStart);
         }
-        processBatch(batch, state);
+        processBatch(batch, dequeuedNs, state);
     }
 }
 
 void
 InferenceServer::processBatch(std::vector<Request> &batch,
+                              std::uint64_t dequeuedNs,
                               WorkerState &state)
 {
     state.batchSeq.fetch_add(1, std::memory_order_relaxed);
@@ -655,9 +664,9 @@ InferenceServer::processBatch(std::vector<Request> &batch,
     }
     for (Request &req : batch) {
         req.ctx.setStage(obs::ReqStage::kQueue,
-                         req.popNs - req.enqueueNs);
+                         dequeuedNs - req.enqueueNs);
         req.ctx.setStage(obs::ReqStage::kBatchForm,
-                         batchStartNs - req.popNs);
+                         batchStartNs - dequeuedNs);
     }
     if (config_.batchHook)
         config_.batchHook(batch.size());

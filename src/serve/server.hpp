@@ -15,12 +15,16 @@
  *   <- {"id":9,"error":"expected 3 features, got 2"}   (bad request)
  *
  * Threading: one acceptor, one reader thread per connection feeding
- * a bounded request queue, a worker pool popping batches (up to
- * batchMaxSize requests or batchMaxDelayUs of waiting, whichever
- * first), one scrape-port thread, one watchdog thread. A full queue
- * rejects at the reader with an "overloaded" error response instead
- * of back-pressuring the socket, so queue depth is bounded and
- * visible in /metrics.
+ * a bounded request queue, a worker pool, one scrape-port thread, one
+ * watchdog thread. Batching is work-conserving: a worker sleeps only
+ * while the queue is empty, then takes up to batchMaxSize queued
+ * requests and dispatches them at once, so batches grow only from
+ * requests that queued while every worker was busy. The acceptor
+ * also reaps connections whose reader has finished (socket closed,
+ * thread joined) on each of its 100 ms polls. A full queue rejects
+ * at the reader with an "overloaded" error response instead of
+ * back-pressuring the socket, so queue depth is bounded and visible
+ * in /metrics.
  *
  * Scrape port (HTTP/1.0, close-per-request, GET only - other
  * methods get 405):
@@ -112,7 +116,11 @@ struct ServeConfig
     /** Inference worker threads. */
     std::size_t workers = 2;
 
-    /** Max requests dispatched to a worker as one batch. */
+    /**
+     * Max queued requests a worker takes as one batch (0 counts as
+     * 1). A worker never waits for a batch to fill: it takes what is
+     * queued when it wakes.
+     */
     std::size_t batchMaxSize = 16;
 
     /**
@@ -123,9 +131,6 @@ struct ServeConfig
      * parallelism.
      */
     std::size_t predictThreads = 1;
-
-    /** Max wait to fill a batch beyond its first request. */
-    std::uint64_t batchMaxDelayUs = 200;
 
     /**
      * Serving arithmetic: "auto" (int8 when the loaded model carries
@@ -258,7 +263,16 @@ class InferenceServer
     struct Request;
     struct WorkerState;
 
+    /** An accepted connection and the reader thread serving it. */
+    struct Reader
+    {
+        std::shared_ptr<Connection> conn;
+        std::thread thread;
+    };
+
     void acceptLoop();
+    /** Join finished readers, close their sockets, drop them. */
+    void reapClosedConnections();
     void connectionLoop(std::shared_ptr<Connection> conn);
     void workerLoop(std::size_t workerIndex);
     void metricsLoop();
@@ -268,8 +282,10 @@ class InferenceServer
     /** Parse + validate one request line; enqueue or answer error. */
     void handleRequestLine(const std::shared_ptr<Connection> &conn,
                            const std::string &line);
+    /** Score and answer @p batch, which left the queue at
+     * @p dequeuedNs (processNanoseconds()). */
     void processBatch(std::vector<Request> &batch,
-                      WorkerState &state);
+                      std::uint64_t dequeuedNs, WorkerState &state);
 
     /** /debug endpoint bodies, built on the scrape thread. */
     std::string debugRequestsBody() const;
@@ -317,13 +333,11 @@ class InferenceServer
     std::vector<std::thread> workerThreads_;
 
     util::Mutex connectionsMutex_;
-    std::vector<std::shared_ptr<Connection>> connections_
-        LOOKHD_GUARDED_BY(connectionsMutex_);
-    /** Reader threads, reaped in stop(): swapped out under the mutex
-     * and joined outside it (joining under a lock a reader might
-     * want is the classic shutdown deadlock). */
-    std::vector<std::thread> connectionThreads_
-        LOOKHD_GUARDED_BY(connectionsMutex_);
+    /** Live connections. Finished readers are swapped out under the
+     * mutex and joined outside it, by the acceptor's reaper and by
+     * stop() (joining under a lock a reader might want is the
+     * classic shutdown deadlock). */
+    std::vector<Reader> readers_ LOOKHD_GUARDED_BY(connectionsMutex_);
 
     util::Mutex queueMutex_;
     util::CondVar queueCv_;
@@ -361,7 +375,6 @@ class InferenceServer
     obs::Gauge &batchLastSize_;
     obs::Gauge &healthReady_;
     obs::LatencyHistogram &requestLatency_;
-    obs::LatencyHistogram &batchGatherLatency_;
 };
 
 } // namespace lookhd::serve

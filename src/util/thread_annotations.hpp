@@ -172,20 +172,6 @@ class CondVar
         return status;
     }
 
-    template <class Clock, class Duration>
-    std::cv_status
-    waitUntil(Mutex &mutex,
-              const std::chrono::time_point<Clock, Duration> &deadline)
-        LOOKHD_REQUIRES(mutex)
-    {
-        std::unique_lock<std::mutex> native(mutex.m_,
-                                            std::adopt_lock);
-        const std::cv_status status =
-            cv_.wait_until(native, deadline);
-        native.release();
-        return status;
-    }
-
     void notifyOne() { cv_.notify_one(); }
     void notifyAll() { cv_.notify_all(); }
 

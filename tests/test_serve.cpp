@@ -18,6 +18,7 @@
 #include "lookhd/classifier.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/procstats.hpp"
 #include "obs/reqtrace.hpp"
 #include "serve/jsonin.hpp"
 #include "serve/net.hpp"
@@ -120,7 +121,6 @@ class ServeTest : public ::testing::Test
         cfg.metricsPort = 0;
         cfg.workers = 2;
         cfg.batchMaxSize = 8;
-        cfg.batchMaxDelayUs = 100;
         server_ = std::make_unique<serve::InferenceServer>(
             trainedClassifier(), cfg);
         server_->start();
@@ -276,7 +276,6 @@ TEST(ServeQuantized, Int8PathServesMatchingPredictions)
     cfg.metricsPort = 0;
     cfg.workers = 2;
     cfg.batchMaxSize = 8;
-    cfg.batchMaxDelayUs = 100;
     cfg.precision = "int8";
     serve::InferenceServer server(trainedClassifier(), cfg);
     server.start();
@@ -516,7 +515,6 @@ TEST(ServeDebug, DebugEndpointsExposeCapturedRequests)
     serve::ServeConfig cfg;
     cfg.workers = 1;
     cfg.batchMaxSize = 4;
-    cfg.batchMaxDelayUs = 100;
     cfg.sampleEveryN = 1; // capture every request
     cfg.slowThresholdNs = ~0ULL >> 1;
     serve::InferenceServer server(trainedClassifier(), cfg);
@@ -586,7 +584,6 @@ TEST(ServeWatchdog, StallDumpFiresOncePerStuckBatch)
     serve::ServeConfig cfg;
     cfg.workers = 1;
     cfg.batchMaxSize = 4;
-    cfg.batchMaxDelayUs = 100;
     cfg.watchdogDeadlineMs = 50;
     cfg.watchdogPeriodMs = 10;
     // First batch stalls well past the deadline; the rest run free.
@@ -671,7 +668,6 @@ TEST(ServeHealth, OverloadFlipsHealthzAndRecovers)
     serve::ServeConfig cfg;
     cfg.workers = 1;
     cfg.batchMaxSize = 1;
-    cfg.batchMaxDelayUs = 100;
     cfg.queueCapacity = 2;
     cfg.scoreDelayNs = 5'000'000; // 5 ms per request
     // Long enough that the unready episode stays latched while the
@@ -754,7 +750,6 @@ TEST(ServeHealth, BusyWorkerNeverReadsAsStalled)
     serve::ServeConfig cfg;
     cfg.workers = 1;
     cfg.batchMaxSize = 1;
-    cfg.batchMaxDelayUs = 0;
     cfg.health.windowSeconds = 0.0; // protocol readiness only
     serve::InferenceServer server(trainedClassifier(), cfg);
     server.start();
@@ -894,6 +889,162 @@ TEST(ServeLifecycle, EphemeralPortsAreDistinctAndNonzero)
     EXPECT_NE(server.metricsPort(), 0);
     EXPECT_NE(server.port(), server.metricsPort());
     server.stop();
+}
+
+TEST(ServeLifecycle, ClosedConnectionsReleaseTheirSockets)
+{
+    // A closed connection gives back its server-side socket and its
+    // reader thread while the server runs, not only at stop().
+    serve::ServeConfig cfg;
+    cfg.workers = 1;
+    serve::InferenceServer server(trainedClassifier(), cfg);
+    server.start();
+    const std::uint64_t fdsBefore = obs::readProcessStats().openFds;
+
+    const std::vector<double> features(12, 0.5);
+    for (std::uint64_t i = 0; i < 64; ++i) {
+        serve::TcpStream stream =
+            serve::TcpStream::connect("127.0.0.1", server.port());
+        ASSERT_NE(roundTrip(stream, requestLine(i, features)), nullptr);
+    }
+
+    // The acceptor reaps finished readers on each 100 ms poll.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    std::uint64_t fds = obs::readProcessStats().openFds;
+    while (fds > fdsBefore + 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        fds = obs::readProcessStats().openFds;
+    }
+    EXPECT_NEAR(static_cast<double>(fds),
+                static_cast<double>(fdsBefore), 2.0)
+        << "open fds after 64 closed connections";
+    server.stop();
+}
+
+TEST(ServeBatching, LoneRequestIsNotHeld)
+{
+    if (!obs::kReqTraceCompiled)
+        GTEST_SKIP() << "stage timing is compiled out";
+    // A request that finds no other work is dispatched at once: no
+    // worker sleeps waiting for a batch to fill.
+    serve::ServeConfig cfg;
+    cfg.sampleEveryN = 1; // capture every request
+    serve::InferenceServer server(trainedClassifier(), cfg);
+    server.start();
+
+    serve::TcpStream stream =
+        serve::TcpStream::connect("127.0.0.1", server.port());
+    const std::vector<double> features(12, 0.5);
+    for (std::uint64_t i = 0; i < 5; ++i)
+        ASSERT_NE(roundTrip(stream, requestLine(i, features)), nullptr);
+
+    // Each capture lands just after its response write; poll briefly.
+    for (int i = 0; i < 100 && server.slowLog().totalCaptured() < 5; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const std::vector<obs::SlowRequestRecord> records =
+        server.slowLog().snapshot();
+    ASSERT_EQ(records.size(), 5u);
+    std::uint64_t minBatchFormNs = ~0ULL;
+    for (const obs::SlowRequestRecord &r : records)
+        minBatchFormNs = std::min(
+            minBatchFormNs, r.ctx.stage(obs::ReqStage::kBatchForm));
+    EXPECT_LT(minBatchFormNs, 150'000u);
+    server.stop();
+}
+
+TEST(ServeBatching, QueuedRequestsLeaveInFullBatches)
+{
+    // Requests that queue while the only worker is busy leave the
+    // queue in batches of up to batchMaxSize (0 counts as 1), and are
+    // answered exactly as unbatched ones.
+    struct Case
+    {
+        std::size_t batchMaxSize;
+        std::uint64_t batches;
+        std::uint64_t multi;
+        std::uint64_t batched;
+    };
+    Classifier reference = trainedClassifier();
+    data::SyntheticSpec spec;
+    spec.numFeatures = 12;
+    spec.numClasses = 3;
+    spec.seed = 5;
+    const data::Dataset probes =
+        data::SyntheticProblem(spec).sample(9);
+    obs::MetricRegistry &registry = obs::MetricRegistry::global();
+    obs::Counter &batches = registry.counter("serve.batches");
+    obs::Counter &multi = registry.counter("serve.batches.multi");
+    obs::Counter &batched = registry.counter("serve.requests.batched");
+
+    for (const Case c : {Case{4, 3, 2, 8}, Case{0, 9, 0, 0}}) {
+        SCOPED_TRACE("batchMaxSize " + std::to_string(c.batchMaxSize));
+        // The first batch holds the worker until released (bounded,
+        // so a failed assertion cannot hang stop()).
+        std::atomic<bool> held{false};
+        std::atomic<bool> release{false};
+        serve::ServeConfig cfg;
+        cfg.workers = 1;
+        cfg.batchMaxSize = c.batchMaxSize;
+        cfg.batchHook = [&held, &release](std::size_t) {
+            if (held.exchange(true))
+                return;
+            for (int i = 0; i < 5000 && !release.load(); ++i)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+        };
+        serve::InferenceServer server(trainedClassifier(), cfg);
+        server.start();
+        const std::uint64_t batchesBefore = batches.value();
+        const std::uint64_t multiBefore = multi.value();
+        const std::uint64_t batchedBefore = batched.value();
+
+        std::vector<std::string> lines;
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+            const auto row = probes.row(i);
+            lines.push_back(
+                requestLine(i, std::vector<double>(row.begin(),
+                                                   row.end())) +
+                "\n");
+        }
+        serve::TcpStream stream =
+            serve::TcpStream::connect("127.0.0.1", server.port());
+        ASSERT_TRUE(stream.sendAll(lines[0]));
+        for (int i = 0; i < 500 && !held.load(); ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        ASSERT_TRUE(held.load());
+        std::string pipelined;
+        for (std::size_t i = 1; i < lines.size(); ++i)
+            pipelined += lines[i];
+        ASSERT_TRUE(stream.sendAll(pipelined));
+        obs::Gauge &depth = registry.gauge("serve.queue.depth");
+        for (int i = 0; i < 500 && depth.value() != 8.0; ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        EXPECT_EQ(depth.value(), 8.0);
+        release.store(true);
+
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+            std::string line;
+            ASSERT_TRUE(stream.readLine(line)) << "response " << i;
+            std::string error;
+            const auto doc = serve::parseJson(line, error);
+            ASSERT_NE(doc, nullptr) << error << ": " << line;
+            const serve::JsonValue *id = doc->find("id");
+            const serve::JsonValue *pred = doc->find("pred");
+            ASSERT_NE(id, nullptr) << line;
+            ASSERT_NE(pred, nullptr) << line;
+            const auto probe = static_cast<std::size_t>(id->number);
+            ASSERT_LT(probe, probes.size());
+            EXPECT_EQ(static_cast<std::size_t>(pred->number),
+                      reference.predict(probes.row(probe)))
+                << "probe " << probe;
+        }
+        EXPECT_EQ(batches.value() - batchesBefore, c.batches);
+        EXPECT_EQ(multi.value() - multiBefore, c.multi);
+        EXPECT_EQ(batched.value() - batchedBefore, c.batched);
+        server.stop();
+    }
 }
 
 } // namespace

@@ -7,7 +7,7 @@
  *                [--port 7070] [--metrics-port 7071]
  *                [--workers 2] [--batch-max 16] [--threads 1]
  *                [--precision auto]
- *                [--batch-delay-us 200] [--queue-cap 1024]
+ *                [--queue-cap 1024]
  *                [--watchdog-ms 2000]
  *                [--slow-ms 100] [--sample-every N]
  *                [--slow-log slow.jsonl]
@@ -60,7 +60,7 @@ constexpr const char *kUsage =
     "                    [--port 7070] [--metrics-port 7071]\n"
     "                    [--workers 2] [--batch-max 16]\n"
     "                    [--threads 1] [--precision auto]\n"
-    "                    [--batch-delay-us 200] [--queue-cap 1024]\n"
+    "                    [--queue-cap 1024]\n"
     "                    [--watchdog-ms 2000]\n"
     "                    [--slow-ms 100] [--sample-every N]\n"
     "                    [--slow-log slow.jsonl]\n"
@@ -220,8 +220,6 @@ main(int argc, char **argv)
         cfg.predictThreads =
             static_cast<std::size_t>(args.getInt("threads", 1));
         cfg.precision = args.get("precision", "auto");
-        cfg.batchMaxDelayUs = static_cast<std::uint64_t>(
-            args.getInt("batch-delay-us", 200));
         cfg.queueCapacity =
             static_cast<std::size_t>(args.getInt("queue-cap", 1024));
         cfg.watchdogDeadlineMs = static_cast<std::uint64_t>(
