@@ -1,36 +1,26 @@
 /**
  * @file
- * Online health evaluators over the windowed time series: margin
- * drift detection and multi-window SLO burn rates, rolled up into a
- * machine-readable readiness verdict.
+ * Online margin-drift detection over the windowed time series,
+ * rolled up into a machine-readable readiness verdict.
  *
- * Two evaluators run on every closed window (obs/timeseries.hpp):
+ * On every closed window (obs/timeseries.hpp) a Population Stability
+ * Index compares the window's confidence-margin distribution with a
+ * reference folded from the first kDriftWarmupWindows windows of
+ * live traffic. Building the reference from served traffic means it
+ * is always scored by the same model form (precision, kernel) the
+ * server serves, and holds the same kind of margin: serving records
+ * confidence margins, which are never negative, while an offline
+ * eval split records truth margins whose errors land below zero.
  *
- *  - Drift: a Page-Hinkley test on the per-window mean margin
- *    (cumulative-sum form, one-sided for downward shifts - margins
- *    collapsing is the failure mode that matters for an HDC model)
- *    plus a Population Stability Index between a reference margin
- *    distribution and each live window. The reference is captured
- *    from the first warm-up windows at serve start, or supplied from
- *    the training-time `--quality-out` JSON so drift is measured
- *    against training-set margins rather than early traffic.
- *
- *  - SLO burn rate: error-ratio and p99-latency objectives evaluated
- *    over a fast and a slow aggregate (Google SRE-style multi-window
- *    alerting: the fast window makes verdicts responsive, the slow
- *    window suppresses one-window blips). burn = observed/objective;
- *    a rule trips only when BOTH aggregates burn at or above the
- *    threshold, and clears only after `clearWindows` consecutive
- *    clean evaluations (hysteresis against flapping readiness).
- *
- * HealthMonitor owns the collector, ring, and evaluators behind one
- * annotated mutex; sample() is driven by the server's sampler thread
- * (or directly by tests with a synthetic clock - every decision here
- * is a pure function of the fed metrics, so tests are deterministic).
- * Results surface three ways: `window.*`/`drift.*`/`serve.health.*`
- * gauges+counters in the shared registry (hence `lookhd_window_*`/
- * `lookhd_drift_*` Prometheus families), JSON bodies for
- * /debug/health and /debug/windows, and verdict() for /healthz.
+ * HealthMonitor owns the collector, ring, and drift state behind one
+ * annotated mutex; sample() is driven by the server's housekeeping
+ * thread (or directly by tests with a synthetic clock - every
+ * decision here is a pure function of the fed metrics, so tests are
+ * deterministic). Results surface three ways: `window.*`/`drift.*`/
+ * `serve.health.*` gauges+counters in the shared registry (hence
+ * `lookhd_window_*`/`lookhd_drift_*` Prometheus families), JSON
+ * bodies for /debug/health and /debug/windows, and verdict() for
+ * /healthz.
  */
 
 #ifndef LOOKHD_OBS_HEALTH_HPP
@@ -47,46 +37,15 @@ namespace lookhd::obs {
 
 class JsonWriter;
 
-/**
- * One-sided Page-Hinkley change detector for a downward mean shift,
- * in the cumulative-sum form: after updating the running mean, the
- * statistic accumulates (mean - x - delta) clamped at zero, and the
- * test trips when it exceeds lambda. delta absorbs normal jitter;
- * lambda sets how much cumulated evidence forces a trip.
- */
-class PageHinkley
-{
-  public:
-    struct Config
-    {
-        /** Magnitude of change considered noise. */
-        double delta = 0.005;
-        /** Detection threshold; <= 0 disables the test. */
-        double lambda = 0.0;
-    };
+/** PSI at or above which a judged window counts as drifted. */
+inline constexpr double kDriftPsiThreshold = 0.25;
 
-    PageHinkley() : PageHinkley(Config()) {}
-    explicit PageHinkley(Config config) : config_(config) {}
+/** Windows of live traffic folded into the drift reference. */
+inline constexpr std::size_t kDriftWarmupWindows = 3;
 
-    /**
-     * Feed one observation; returns true when the test trips. A trip
-     * resets the statistic (and the running mean) so a persisting
-     * shift re-arms against the new level instead of re-tripping
-     * every window.
-     */
-    bool observe(double x);
-
-    double statistic() const { return cumulative_; }
-    bool enabled() const { return config_.lambda > 0.0; }
-
-    void reset();
-
-  private:
-    Config config_;
-    std::uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double cumulative_ = 0.0;
-};
+/** Windows with fewer margins than this are skipped entirely (too
+ * little signal to judge a distribution). */
+inline constexpr std::uint64_t kDriftMinMargins = 20;
 
 /**
  * Population Stability Index between two discrete distributions given
@@ -102,130 +61,56 @@ double populationStabilityIndex(const std::vector<double> &refFractions,
 std::vector<double> bucketFractions(const std::uint64_t *counts,
                                     std::size_t n);
 
-/** Drift-detector configuration. */
-struct DriftConfig
-{
-    /** PSI trip threshold; <= 0 disables the PSI test. */
-    double psiThreshold = 0.25;
-    PageHinkley::Config pageHinkley;
-    /** Windows of live traffic folded into the reference when no
-     * external reference is supplied. */
-    std::size_t warmupWindows = 3;
-    /** Windows with fewer margins than this are skipped entirely
-     * (too little signal to judge a distribution). */
-    std::uint64_t minMarginCount = 20;
-    /** Optional external reference distribution (bucket fractions,
-     * MarginHistogram layout), e.g. from `--quality-out` JSON.
-     * Empty = capture from warm-up. */
-    std::vector<double> referenceFractions;
-};
-
 /** Point-in-time drift-detector state (for /debug/health + tests). */
 struct DriftState
 {
-    bool enabled = false;
     bool violated = false;
     double psi = 0.0;
-    double pageHinkleyStat = 0.0;
     std::uint64_t trips = 0;
     bool referenceReady = false;
-    /** "file" | "warmup" | "none". */
-    std::string referenceSource = "none";
-    /** Margins folded into a warm-up reference (0 for file refs). */
+    /** Margins folded into the warm-up reference. */
     std::uint64_t referenceCount = 0;
     double lastWindowMean = 0.0;
     std::uint64_t evaluatedWindows = 0;
 };
 
-/** SLO objectives and burn-rate evaluation shape. */
-struct SloConfig
-{
-    /** p99 latency objective in ms; <= 0 disables the rule. */
-    double p99Ms = 0.0;
-    /** Error-ratio objective in [0,1]; <= 0 disables the rule. */
-    double errorRate = 0.0;
-    /** Windows aggregated per evaluation. */
-    std::size_t fastWindows = 1;
-    std::size_t slowWindows = 5;
-    /** Rule violated when BOTH burns reach this. */
-    double burnThreshold = 1.0;
-    /** Aggregates with fewer requests than this are skipped. */
-    std::uint64_t minRequests = 10;
-    /** Consecutive clean evaluations required to clear. */
-    std::size_t clearWindows = 2;
-};
-
-/** Point-in-time state of one SLO rule. */
-struct SloRuleState
-{
-    /** "error_rate" | "p99_latency". */
-    std::string name;
-    bool enabled = false;
-    bool violated = false;
-    double objective = 0.0;
-    /** Observed value over the fast/slow aggregates. */
-    double valueFast = 0.0;
-    double valueSlow = 0.0;
-    /** observed/objective. */
-    double burnFast = 0.0;
-    double burnSlow = 0.0;
-    std::uint64_t trips = 0;
-    std::size_t cleanStreak = 0;
-};
-
-/** HealthMonitor configuration. */
-struct HealthConfig
-{
-    /** Target window length; <= 0 disables the sampler (the server
-     * then runs protocol-level readiness only). */
-    double windowSeconds = 5.0;
-    /** Windows retained for /debug/windows and slow aggregates. */
-    std::size_t ringCapacity = 120;
-    SloConfig slo;
-    DriftConfig drift;
-    WindowSourceNames sources;
-};
-
-/** Readiness verdict rolled up from every rule. */
+/** Readiness verdict of the drift rule. */
 struct HealthVerdict
 {
     bool ready = true;
-    /** "ok" | "slo_error_rate" | "slo_p99_latency" | "drift". */
+    /** "ok" | "drift". */
     std::string reason = "ok";
 };
 
 /**
- * Owns the window collector, ring, and evaluators; thread-safe.
+ * Owns the window collector, ring, and drift state; thread-safe.
  * Publishes to the registry it samples from (counter
- * `serve.health.drift_trips`, `serve.health.slo.*_trips`; gauges
- * `window.*`, `drift.*`, `serve.health.*`).
+ * `serve.health.drift_trips`; gauges `window.*`, `drift.*`,
+ * `serve.health.ok`).
  */
 class HealthMonitor
 {
   public:
+    /** @p windowSeconds is the caller's sampling cadence; it sizes
+     * /debug/windows?s=N clips and is reported, not enforced. */
     HealthMonitor(MetricRegistry &registry, QualityTelemetry &quality,
-                  HealthConfig config);
+                  double windowSeconds);
 
     /**
-     * Close the current window at monotonic @p nowNs, run every
-     * evaluator, publish gauges, and return the window. @p wallMs
-     * optionally wall-stamps the window for /debug/windows.
+     * Close the current window at monotonic @p nowNs, judge drift,
+     * publish gauges, and return the window. @p wallMs optionally
+     * wall-stamps the window for /debug/windows.
      */
     WindowStats sample(std::uint64_t nowNs, std::uint64_t wallMs = 0)
         LOOKHD_EXCLUDES(mutex_);
 
     HealthVerdict verdict() const LOOKHD_EXCLUDES(mutex_);
     DriftState driftState() const LOOKHD_EXCLUDES(mutex_);
-    std::vector<SloRuleState> ruleStates() const
-        LOOKHD_EXCLUDES(mutex_);
     std::uint64_t windowsSampled() const LOOKHD_EXCLUDES(mutex_);
 
-    double windowSeconds() const { return config_.windowSeconds; }
-
     /**
-     * Write the {"verdict":..,"rules":[..],"drift":{..},
-     * "window_seconds":..,"windows_sampled":..} object for
-     * /debug/health.
+     * Write the {"ready":..,"reason":..,"window_seconds":..,
+     * "windows_sampled":..,"drift":{..}} object for /debug/health.
      */
     void writeHealthJson(JsonWriter &w) const LOOKHD_EXCLUDES(mutex_);
 
@@ -238,32 +123,18 @@ class HealthMonitor
         LOOKHD_EXCLUDES(mutex_);
 
   private:
-    void evaluateSlo(SloRuleState &rule, Counter &tripCounter,
-                     double valueFast, double valueSlow,
-                     bool haveData) LOOKHD_REQUIRES(mutex_);
     void evaluateDrift(const WindowStats &w) LOOKHD_REQUIRES(mutex_);
     void publish(const WindowStats &w) LOOKHD_REQUIRES(mutex_);
-    HealthVerdict verdictLocked() const LOOKHD_REQUIRES(mutex_);
-    void writeRuleJson(JsonWriter &w, const SloRuleState &rule) const
-        LOOKHD_REQUIRES(mutex_);
     void writeWindowJson(JsonWriter &w, const WindowStats &win) const;
 
     MetricRegistry &registry_;
-    HealthConfig config_;
+    const double windowSeconds_;
 
     mutable util::Mutex mutex_;
     WindowCollector collector_ LOOKHD_GUARDED_BY(mutex_);
     WindowRing ring_ LOOKHD_GUARDED_BY(mutex_);
 
-    SloRuleState errorRule_ LOOKHD_GUARDED_BY(mutex_);
-    SloRuleState latencyRule_ LOOKHD_GUARDED_BY(mutex_);
-
-    PageHinkley pageHinkley_ LOOKHD_GUARDED_BY(mutex_);
     DriftState drift_ LOOKHD_GUARDED_BY(mutex_);
-    /** A Page-Hinkley trip is an event; this latch holds the drift
-     * rule violated until the distribution returns to the PSI band
-     * (or forever when PSI is disabled). */
-    bool pageHinkleyLatch_ LOOKHD_GUARDED_BY(mutex_) = false;
     /** Reference margin distribution as smoothable fractions. */
     std::vector<double> referenceFractions_ LOOKHD_GUARDED_BY(mutex_);
     /** Warm-up accumulation buffer (counts) until the reference is
@@ -273,8 +144,6 @@ class HealthMonitor
 
     // Registry handles (valid forever; see obs/metrics.hpp).
     Counter &driftTrips_;
-    Counter &errorTrips_;
-    Counter &latencyTrips_;
     Gauge &healthOk_;
 };
 

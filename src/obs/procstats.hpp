@@ -10,8 +10,9 @@
  * heap tallies kept by the global operator new/delete replacement in
  * procstats.cpp. publishProcessGauges() folds one sample into the
  * `process.*` gauges so the numbers ride the Prometheus / JSON /
- * health exposition paths for free; the serve sampler thread calls
- * it once per window and the scrape handler refreshes it per scrape.
+ * health exposition paths for free; the serve housekeeping thread
+ * calls it as each window closes and the scrape handler refreshes it
+ * per scrape.
  *
  * The gauges themselves are product telemetry like `serve.*` and are
  * present in every build. Only the allocator hook is gated: it

@@ -28,9 +28,8 @@ WindowStats::errorRatio() const
 // ------------------------------------------------------ WindowCollector
 
 WindowCollector::WindowCollector(MetricRegistry &registry,
-                                 QualityTelemetry &quality,
-                                 WindowSourceNames names)
-    : registry_(registry), quality_(quality), names_(std::move(names))
+                                 QualityTelemetry &quality)
+    : registry_(registry), quality_(quality)
 {
 }
 
@@ -70,16 +69,17 @@ WindowCollector::sample(std::uint64_t nowNs, std::uint64_t wallMs)
         return it == snap.counters.end() ? std::uint64_t{0}
                                          : it->second;
     };
-    const std::uint64_t ok = counterValue(names_.okCounter);
-    const std::uint64_t bad = counterValue(names_.badCounter);
-    const std::uint64_t overload = counterValue(names_.overloadCounter);
+    const std::uint64_t ok = counterValue("serve.requests");
+    const std::uint64_t bad = counterValue("serve.requests.bad");
+    const std::uint64_t overload =
+        counterValue("serve.requests.overload");
 
     LatencySnapshot lat;
-    if (const auto it = snap.latency.find(names_.latencyHistogram);
+    if (const auto it = snap.latency.find("serve.request.latency");
         it != snap.latency.end())
         lat = it->second;
     const MarginSnapshot margin =
-        quality_.margins(names_.marginHistogram).snapshot();
+        quality_.margins("serve.predict").snapshot();
 
     WindowStats w;
     w.seq = ++seq_;
@@ -102,13 +102,9 @@ WindowCollector::sample(std::uint64_t nowNs, std::uint64_t wallMs)
     const LatencySnapshot latDelta =
         primed_ ? diffLatency(lat, prevLatency_) : lat;
     w.latencyCount = latDelta.count;
-    w.latencyMeanNs = latDelta.meanNs();
     w.p50Ns = latDelta.percentileNs(0.50);
     w.p90Ns = latDelta.percentileNs(0.90);
     w.p99Ns = latDelta.percentileNs(0.99);
-    w.latencyBuckets = latDelta.bucketCounts;
-    if (!lat.bucketUpperNs.empty())
-        latencyUpperNs_ = lat.bucketUpperNs;
 
     if (primed_ && margin.count >= prevMargin_.count) {
         w.marginCount = margin.count - prevMargin_.count;
@@ -177,27 +173,6 @@ WindowRing::lastN(std::size_t n) const
     for (std::size_t i = size_ - take; i < size_; ++i)
         out.push_back(at(i));
     return out;
-}
-
-LatencySnapshot
-aggregateLatency(const WindowRing &ring, std::size_t n,
-                 const std::vector<double> &upperNs)
-{
-    LatencySnapshot agg;
-    agg.bucketUpperNs = upperNs;
-    agg.bucketCounts.assign(upperNs.size(), 0);
-    const std::size_t take = std::min(n, ring.size());
-    for (std::size_t i = ring.size() - take; i < ring.size(); ++i) {
-        const WindowStats &w = ring.at(i);
-        if (w.latencyBuckets.size() != agg.bucketCounts.size())
-            continue;
-        agg.count += w.latencyCount;
-        agg.sumNs += w.latencyMeanNs *
-                     static_cast<double>(w.latencyCount);
-        for (std::size_t b = 0; b < agg.bucketCounts.size(); ++b)
-            agg.bucketCounts[b] += w.latencyBuckets[b];
-    }
-    return agg;
 }
 
 } // namespace lookhd::obs

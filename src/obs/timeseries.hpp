@@ -11,8 +11,8 @@
  * snapshots (reusing the torn-read-free LatencySnapshot path, so a
  * window's count always equals the sum of its bucket deltas) into
  * WindowStats, and a WindowRing retains the last N windows for the
- * health evaluators in obs/health.hpp and the /debug/windows
- * endpoint.
+ * /debug/windows endpoint (the drift rule in obs/health.hpp judges
+ * each window as it closes).
  *
  * Per-window latency quantiles come from the *delta* of the log-scale
  * bins: subtracting two cumulative LatencySnapshots bin-wise yields a
@@ -26,7 +26,7 @@
  * clocks for determinism). Nothing here reads a wall clock.
  *
  * Like the rest of the obs classes, this compiles unconditionally;
- * LOOKHD_OBS=OFF only removes the server-side sampler wiring (gated
+ * LOOKHD_OBS=OFF only removes the server-side window wiring (gated
  * on kWindowsCompiled, mirroring obs::kReqTraceCompiled).
  */
 
@@ -35,7 +35,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -49,7 +48,7 @@
 
 namespace lookhd::obs {
 
-/** True when the serve-side sampler/health wiring is compiled in. */
+/** True when the serve-side window/health wiring is compiled in. */
 inline constexpr bool kWindowsCompiled = LOOKHD_OBS_ENABLED != 0;
 
 /**
@@ -74,12 +73,9 @@ struct WindowStats
 
     /** Latency deltas (from the request-latency histogram). */
     std::uint64_t latencyCount = 0;
-    double latencyMeanNs = 0.0;
     double p50Ns = 0.0;
     double p90Ns = 0.0;
     double p99Ns = 0.0;
-    /** Per-bin event deltas; empty until the histogram exists. */
-    std::vector<std::uint64_t> latencyBuckets;
 
     /** Margin-histogram deltas (empty-window values are 0). */
     std::uint64_t marginCount = 0;
@@ -97,20 +93,10 @@ struct WindowStats
 };
 
 /**
- * Names of the cumulative metrics a WindowCollector diffs. Defaults
- * match the InferenceServer accounting; tests substitute their own.
- */
-struct WindowSourceNames
-{
-    std::string okCounter = "serve.requests";
-    std::string badCounter = "serve.requests.bad";
-    std::string overloadCounter = "serve.requests.overload";
-    std::string latencyHistogram = "serve.request.latency";
-    std::string marginHistogram = "serve.predict";
-};
-
-/**
- * Diffs successive cumulative snapshots into WindowStats.
+ * Diffs successive cumulative snapshots of the InferenceServer
+ * accounting (serve.requests{,.bad,.overload} counters, the
+ * serve.request.latency histogram, the serve.predict margins) into
+ * WindowStats.
  *
  * Not internally synchronized: sample() mutates the retained
  * previous-snapshot state, so callers serialize calls (HealthMonitor
@@ -122,8 +108,7 @@ class WindowCollector
 {
   public:
     WindowCollector(MetricRegistry &registry,
-                    QualityTelemetry &quality,
-                    WindowSourceNames names = {});
+                    QualityTelemetry &quality);
 
     /**
      * Close one window ending at monotonic @p nowNs: returns the
@@ -133,16 +118,9 @@ class WindowCollector
      */
     WindowStats sample(std::uint64_t nowNs, std::uint64_t wallMs = 0);
 
-    /** Upper bin edges of the latency histogram (ns), once seen. */
-    const std::vector<double> &latencyUpperNs() const
-    {
-        return latencyUpperNs_;
-    }
-
   private:
     MetricRegistry &registry_;
     QualityTelemetry &quality_;
-    WindowSourceNames names_;
 
     std::uint64_t seq_ = 0;
     std::uint64_t prevNs_ = 0;
@@ -152,7 +130,6 @@ class WindowCollector
     std::uint64_t prevOverload_ = 0;
     LatencySnapshot prevLatency_;
     MarginSnapshot prevMargin_;
-    std::vector<double> latencyUpperNs_;
 };
 
 /**
@@ -183,15 +160,6 @@ class WindowRing
     std::size_t head_ = 0; // next write position
     std::size_t size_ = 0;
 };
-
-/**
- * Sum the latency-bucket deltas of the last @p n windows of @p ring
- * into a LatencySnapshot (using @p upperNs edges) so cumulative-style
- * quantile math applies to multi-window aggregates. Windows recorded
- * before the latency histogram existed contribute nothing.
- */
-LatencySnapshot aggregateLatency(const WindowRing &ring, std::size_t n,
-                                 const std::vector<double> &upperNs);
 
 } // namespace lookhd::obs
 

@@ -2,11 +2,13 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <thread>
 #include <unistd.h>
 #include <utility>
 
@@ -29,6 +31,10 @@ strerrorResult(const char *message, const char * /*buf*/)
 {
     return message;
 }
+
+/** Pause before a blocking accept() retries after running out of
+ * descriptors or memory. */
+constexpr int kAcceptRetryMs = 100;
 
 [[noreturn]] void
 throwErrno(const std::string &what)
@@ -257,6 +263,17 @@ TcpListener::accept(int timeoutMs)
             continue;
         if (errno == EBADF || errno == EINVAL)
             return TcpStream(); // listener closed under us
+        if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+            errno == ENOMEM) {
+            // The connection stays queued, so poll() would report it
+            // again at once: wait as if poll had timed out instead of
+            // spinning until a descriptor frees up.
+            std::this_thread::sleep_for(std::chrono::milliseconds(
+                timeoutMs < 0 ? kAcceptRetryMs : timeoutMs));
+            if (timeoutMs < 0)
+                continue;
+            return TcpStream();
+        }
         throwErrno("accept");
     }
 }

@@ -101,7 +101,10 @@ class TcpListener
     /**
      * Accept one connection. Blocks up to @p timeoutMs (-1 =
      * forever). @return an invalid stream on timeout or on listener
-     * close/shutdown. @throws NetError on unexpected failures.
+     * close/shutdown. Running out of descriptors or memory
+     * (EMFILE/ENFILE/ENOBUFS/ENOMEM) counts as a timeout after
+     * waiting @p timeoutMs; a blocking call pauses briefly and
+     * retries. @throws NetError on unexpected failures.
      */
     TcpStream accept(int timeoutMs = -1);
 

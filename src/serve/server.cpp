@@ -138,7 +138,7 @@ struct InferenceServer::WorkerState
     /** Monotonic per-worker batch number; lets the watchdog trip
      * once per stuck batch instead of once per poll. */
     std::atomic<std::uint64_t> batchSeq{0};
-    std::uint64_t lastTrippedBatch = 0; // watchdog-thread private
+    std::uint64_t lastTrippedBatch = 0; // housekeeping-thread private
 
     /** One in-flight request, published for /debug/inflight. */
     struct InflightEntry
@@ -321,6 +321,18 @@ InferenceServer::start()
     running_.store(true, std::memory_order_release);
     stopWorkers_.store(false, std::memory_order_release);
 
+    lastOverloadNs_.store(0, std::memory_order_relaxed);
+    wasReady_.store(true, std::memory_order_relaxed);
+    healthReady_.set(1.0);
+    // Before the threads: the housekeeping and scrape threads read
+    // health_ without a lock.
+    if constexpr (obs::kWindowsCompiled) {
+        if (config_.windowSeconds > 0.0)
+            health_ = std::make_unique<obs::HealthMonitor>(
+                obs::MetricRegistry::global(),
+                obs::QualityTelemetry::global(), config_.windowSeconds);
+    }
+
     const std::size_t workers = std::max<std::size_t>(
         config_.workers, 1);
     workerStates_.clear();
@@ -331,19 +343,7 @@ InferenceServer::start()
             [this, i] { workerLoop(i); });
     acceptThread_ = std::thread([this] { acceptLoop(); });
     metricsThread_ = std::thread([this] { metricsLoop(); });
-    watchdogThread_ = std::thread([this] { watchdogLoop(); });
-    lastOverloadNs_.store(0, std::memory_order_relaxed);
-    wasReady_.store(true, std::memory_order_relaxed);
-    healthReady_.set(1.0);
-    if constexpr (obs::kWindowsCompiled) {
-        if (config_.health.windowSeconds > 0.0) {
-            health_ = std::make_unique<obs::HealthMonitor>(
-                obs::MetricRegistry::global(),
-                obs::QualityTelemetry::global(), config_.health);
-            samplerThread_ =
-                std::thread([this] { samplerLoop(); });
-        }
-    }
+    housekeepingThread_ = std::thread([this] { housekeepingLoop(); });
 
     const std::size_t predictThreads =
         par::resolveThreads(config_.predictThreads);
@@ -374,11 +374,10 @@ InferenceServer::stop()
     if (stopping_.exchange(true))
         return;
 
-    // 1. Stop accepting; the accept/metrics/watchdog loops poll
+    // 1. Stop accepting; the accept/metrics/housekeeping loops poll
     //    running_ on a short timeout.
     running_.store(false, std::memory_order_release);
-    watchdogCv_.notifyAll();
-    samplerCv_.notifyAll();
+    housekeepingCv_.notifyAll();
     if (acceptThread_.joinable())
         acceptThread_.join();
     requestListener_.close();
@@ -408,10 +407,8 @@ InferenceServer::stop()
     if (metricsThread_.joinable())
         metricsThread_.join();
     metricsListener_.close();
-    if (watchdogThread_.joinable())
-        watchdogThread_.join();
-    if (samplerThread_.joinable())
-        samplerThread_.join();
+    if (housekeepingThread_.joinable())
+        housekeepingThread_.join();
 
     for (Reader &r : readers)
         r.conn->close();
@@ -704,7 +701,7 @@ InferenceServer::processBatch(std::vector<Request> &batch,
         batchScores =
             classifier_.scoresBatch(rows, config_.predictThreads);
         // Load-testing aid: inflate the scoring stage so overload
-        // and latency-SLO scenarios reproduce deterministically.
+        // and latency scenarios reproduce deterministically.
         if (config_.scoreDelayNs > 0)
             std::this_thread::sleep_for(
                 std::chrono::nanoseconds(config_.scoreDelayNs));
@@ -996,7 +993,7 @@ InferenceServer::metricsLoop()
             std::string body;
             if (path == "/metrics") {
                 // Resource gauges refresh per scrape so Prometheus
-                // never reads a stale sampler-period value.
+                // never reads a stale window-period value.
                 obs::publishProcessGauges();
                 body = obs::renderPrometheus(
                     obs::MetricRegistry::global().snapshot(),
@@ -1169,73 +1166,64 @@ InferenceServer::debugWindowsBody(const std::string &query)
 }
 
 void
-InferenceServer::samplerLoop()
+InferenceServer::housekeepingLoop()
 {
-    if (health_ == nullptr || config_.health.windowSeconds <= 0.0)
-        return;
-    const auto period =
-        std::chrono::microseconds(std::max<std::uint64_t>(
-            static_cast<std::uint64_t>(
-                config_.health.windowSeconds * 1e6),
-            1000));
-    // Same interruptible-sleep shape as the watchdog: the loop-local
-    // mutex guards nothing, it satisfies the CondVar wait protocol.
-    util::Mutex sleepMutex;
-    const util::MutexLock sleepLock(sleepMutex);
-    while (running_.load(std::memory_order_acquire)) {
-        if (samplerCv_.waitFor(sleepMutex, period) ==
-            std::cv_status::no_timeout)
-            continue; // woken early (stop or spurious): recheck
-        if (!running_.load(std::memory_order_acquire))
-            break;
-        health_->sample(util::Timer::processNanoseconds(),
-                        obs::wallClockMs());
-        obs::publishProcessGauges();
-    }
-}
-
-void
-InferenceServer::watchdogLoop()
-{
-    if (config_.watchdogDeadlineMs == 0)
+    if (config_.watchdogDeadlineMs == 0 && health_ == nullptr)
         return;
     const auto period =
         std::chrono::milliseconds(std::max<std::uint64_t>(
             config_.watchdogPeriodMs, 1));
+    const auto windowNs = static_cast<std::uint64_t>(
+        config_.windowSeconds * 1e9);
+    std::uint64_t windowStartNs = util::Timer::processNanoseconds();
     // The mutex exists only to satisfy the wait protocol: nothing is
     // guarded by it, the timed sleep (interruptible by stop()) is
     // the point.
     util::Mutex sleepMutex;
     const util::MutexLock sleepLock(sleepMutex);
     while (running_.load(std::memory_order_acquire)) {
-        watchdogCv_.waitFor(sleepMutex, period);
+        housekeepingCv_.waitFor(sleepMutex, period);
+        if (!running_.load(std::memory_order_acquire))
+            break;
         const std::uint64_t now = util::Timer::processNanoseconds();
-        for (std::size_t i = 0; i < workerStates_.size(); ++i) {
-            WorkerState &state = *workerStates_[i];
-            const std::uint64_t busySince =
-                state.busySinceNs.load(std::memory_order_relaxed);
-            if (busySince == 0)
-                continue;
-            const std::uint64_t elapsed = elapsedNs(now, busySince);
-            if (elapsed < config_.watchdogDeadlineMs * 1'000'000ULL)
-                continue;
-            const std::uint64_t batch =
-                state.batchSeq.load(std::memory_order_relaxed);
-            if (batch == state.lastTrippedBatch)
-                continue; // already reported this stuck batch
-            state.lastTrippedBatch = batch;
-            watchdogTrips_.add();
-            obs::EventLog::global().emit(
-                obs::LogLevel::kError, "serve.watchdog.trip",
-                {{"worker", std::to_string(i)},
-                 {"stage",
-                  std::string(state.stage.load(
-                      std::memory_order_relaxed))},
-                 {"elapsed_ms",
-                  std::to_string(elapsed / 1'000'000ULL)},
-                 {"batch", std::to_string(batch)},
-                 {"span_rollup", rollupDump()}});
+        if (config_.watchdogDeadlineMs > 0)
+            checkStalls(now);
+        if (health_ != nullptr && now - windowStartNs >= windowNs) {
+            windowStartNs = now;
+            health_->sample(now, obs::wallClockMs());
+            obs::publishProcessGauges();
         }
+    }
+}
+
+void
+InferenceServer::checkStalls(std::uint64_t nowNs)
+{
+    for (std::size_t i = 0; i < workerStates_.size(); ++i) {
+        WorkerState &state = *workerStates_[i];
+        const std::uint64_t busySince =
+            state.busySinceNs.load(std::memory_order_relaxed);
+        if (busySince == 0)
+            continue;
+        const std::uint64_t elapsed = elapsedNs(nowNs, busySince);
+        if (elapsed < config_.watchdogDeadlineMs * 1'000'000ULL)
+            continue;
+        const std::uint64_t batch =
+            state.batchSeq.load(std::memory_order_relaxed);
+        if (batch == state.lastTrippedBatch)
+            continue; // already reported this stuck batch
+        state.lastTrippedBatch = batch;
+        watchdogTrips_.add();
+        obs::EventLog::global().emit(
+            obs::LogLevel::kError, "serve.watchdog.trip",
+            {{"worker", std::to_string(i)},
+             {"stage",
+              std::string(state.stage.load(
+                  std::memory_order_relaxed))},
+             {"elapsed_ms",
+              std::to_string(elapsed / 1'000'000ULL)},
+             {"batch", std::to_string(batch)},
+             {"span_rollup", rollupDump()}});
     }
 }
 

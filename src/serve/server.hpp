@@ -16,12 +16,15 @@
  *
  * Threading: one acceptor, one reader thread per connection feeding
  * a bounded request queue, a worker pool, one scrape-port thread, one
- * watchdog thread. Batching is work-conserving: a worker sleeps only
- * while the queue is empty, then takes up to batchMaxSize queued
- * requests and dispatches them at once, so batches grow only from
- * requests that queued while every worker was busy. The acceptor
- * also reaps connections whose reader has finished (socket closed,
- * thread joined) on each of its 100 ms polls. A full queue rejects
+ * housekeeping thread (watchdog stall checks and window closes on
+ * one watchdogPeriodMs tick). Batching is work-conserving: a worker
+ * sleeps only while the queue is empty, then takes up to
+ * batchMaxSize queued requests and dispatches them at once, so
+ * batches grow only from requests that queued while every worker was
+ * busy. The acceptor also reaps connections whose reader has
+ * finished (socket closed, thread joined) on each of its 100 ms
+ * polls, and backs off like a poll timeout when accept() runs out of
+ * descriptors or memory (serve/net.hpp). A full queue rejects
  * at the reader with an "overloaded" error response instead of
  * back-pressuring the socket, so queue depth is bounded and visible
  * in /metrics.
@@ -34,11 +37,13 @@
  *   GET /healthz         readiness: 200 "ok" when serving, 503 with
  *                        a JSON {"status","reason"} body while
  *                        draining, saturated, recently overloaded,
- *                        stalled, or in violation of an SLO/drift
- *                        rule (obs/health.hpp)
+ *                        stalled, or while served margins have
+ *                        drifted from the warm-up windows
+ *                        (obs/health.hpp)
  *   GET /livez           liveness: 200 while the scrape loop runs
- *   GET /debug/health    full verdict: protocol state, per-rule
- *                        burn rates, drift scores as JSON
+ *   GET /debug/health    full verdict: protocol state plus the
+ *                        drift state (PSI, reference, trips) as
+ *                        JSON
  *   GET /debug/windows?s=N  recent window series (last N seconds)
  *   GET /debug/requests  recent slow/sampled requests with their
  *                        full stage breakdown (obs/reqtrace.hpp)
@@ -71,10 +76,13 @@
  * Request-scope events (start/shutdown, watchdog trips, overload)
  * land in obs::EventLog::global().
  *
- * The watchdog thread checks every worker's in-flight batch against
- * deadline; a stall logs a watchdog.trip event carrying the
- * worker's current stage and a span-rollup dump (once per stuck
- * batch), and increments serve.watchdog.trips.
+ * On each tick the housekeeping thread checks every worker's
+ * in-flight batch against the watchdog deadline; a stall logs a
+ * watchdog.trip event carrying the worker's current stage and a
+ * span-rollup dump (once per stuck batch), and increments
+ * serve.watchdog.trips. On the first tick after windowSeconds have
+ * passed it closes a telemetry window (obs/timeseries.hpp) and
+ * judges it for drift.
  */
 
 #ifndef LOOKHD_SERVE_SERVER_HPP
@@ -148,7 +156,7 @@ struct ServeConfig
     /** Worker-stall threshold for the watchdog. 0 disables. */
     std::uint64_t watchdogDeadlineMs = 2000;
 
-    /** Watchdog poll period. */
+    /** Housekeeping tick: stall checks and window closes. */
     std::uint64_t watchdogPeriodMs = 100;
 
     /**
@@ -166,9 +174,8 @@ struct ServeConfig
 
     /**
      * Artificial per-batch delay added to the scoring stage. A load-
-     * testing aid (simulates heavier models so overload and
-     * latency-SLO scenarios reproduce deterministically); 0 in
-     * production.
+     * testing aid (simulates heavier models so overload scenarios
+     * reproduce deterministically); 0 in production.
      */
     std::uint64_t scoreDelayNs = 0;
 
@@ -181,13 +188,14 @@ struct ServeConfig
     std::uint64_t overloadHoldMs = 2000;
 
     /**
-     * Windowed health engine (sampler cadence, SLO objectives, drift
-     * detection; see obs/health.hpp). The sampler thread runs when
-     * health.windowSeconds > 0 and the obs layer is compiled in;
+     * Telemetry window length, judged for margin drift as each
+     * window closes (obs/health.hpp). Windows close when
+     * windowSeconds > 0 and the obs layer is compiled in, on the
+     * first housekeeping tick after the length has passed;
      * protocol-level /healthz readiness (drain/overload/stall) works
      * regardless.
      */
-    obs::HealthConfig health;
+    double windowSeconds = 5.0;
 
     /**
      * Test-only hook, run at the start of every batch with the batch
@@ -242,16 +250,16 @@ class InferenceServer
     {
         bool ready = true;
         /** "ok" | "draining" | "queue_saturated" | "overloaded" |
-         * "watchdog_stalled" | a HealthMonitor reason. */
+         * "watchdog_stalled" | "drift". */
         std::string reason = "ok";
     };
 
     /**
      * Compute the current readiness verdict (highest-priority
      * violation wins: draining > queue_saturated > overloaded >
-     * watchdog_stalled > rule-engine reasons), update the
-     * serve.health.ready gauge, and log transitions. This is what
-     * GET /healthz serves; public for tests.
+     * watchdog_stalled > drift), update the serve.health.ready
+     * gauge, and log transitions. This is what GET /healthz serves;
+     * public for tests.
      */
     Readiness checkReadiness();
 
@@ -276,8 +284,11 @@ class InferenceServer
     void connectionLoop(std::shared_ptr<Connection> conn);
     void workerLoop(std::size_t workerIndex);
     void metricsLoop();
-    void watchdogLoop();
-    void samplerLoop();
+    /** Watchdog stall checks and window closes, one tick per
+     * watchdogPeriodMs. */
+    void housekeepingLoop();
+    /** Log and count each worker batch stuck past the deadline. */
+    void checkStalls(std::uint64_t nowNs);
 
     /** Parse + validate one request line; enqueue or answer error. */
     void handleRequestLine(const std::shared_ptr<Connection> &conn,
@@ -314,12 +325,10 @@ class InferenceServer
     std::atomic<bool> stopWorkers_{false};
     std::atomic<std::int64_t> openConnections_{0};
     std::atomic<std::int64_t> inflightRequests_{0};
-    /** Wakes the watchdog out of its poll sleep on stop(); the
-     * watchdog waits on a loop-local mutex (nothing is guarded by
+    /** Wakes the housekeeping thread out of its tick sleep on
+     * stop(); it waits on a loop-local mutex (nothing is guarded by
      * it, the sleep is the point). */
-    util::CondVar watchdogCv_;
-    /** Same interruptible-sleep pattern for the window sampler. */
-    util::CondVar samplerCv_;
+    util::CondVar housekeepingCv_;
     /** processNanoseconds() of the last overload rejection; feeds
      * the overloadHoldMs readiness latch. 0 = never. */
     std::atomic<std::uint64_t> lastOverloadNs_{0};
@@ -328,8 +337,7 @@ class InferenceServer
 
     std::thread acceptThread_;
     std::thread metricsThread_;
-    std::thread watchdogThread_;
-    std::thread samplerThread_;
+    std::thread housekeepingThread_;
     std::vector<std::thread> workerThreads_;
 
     util::Mutex connectionsMutex_;
@@ -346,8 +354,8 @@ class InferenceServer
     std::vector<std::unique_ptr<WorkerState>> workerStates_;
 
     /** Constructed in start() when windows are compiled in and
-     * config_.health.windowSeconds > 0; kept after stop() so the
-     * final state stays inspectable. */
+     * config_.windowSeconds > 0; kept after stop() so the final
+     * state stays inspectable. */
     std::unique_ptr<obs::HealthMonitor> health_;
 
     obs::SlowRequestLog slowLog_;

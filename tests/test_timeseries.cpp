@@ -2,7 +2,7 @@
  * @file
  * Tests for the windowed time-series layer (obs/timeseries.hpp):
  * cumulative-to-delta collection, per-window quantiles from bin
- * deltas, ring retention, and multi-window aggregation. Everything
+ * deltas, and ring retention. Everything
  * runs on a local registry/telemetry with synthetic clocks, so the
  * expectations are exact.
  */
@@ -27,7 +27,7 @@ class CollectorTest : public ::testing::Test
   protected:
     MetricRegistry reg;
     QualityTelemetry quality;
-    WindowCollector collector{reg, quality, WindowSourceNames{}};
+    WindowCollector collector{reg, quality};
 };
 
 TEST_F(CollectorTest, FirstWindowReportsCumulativeAsDelta)
@@ -81,7 +81,6 @@ TEST_F(CollectorTest, WindowQuantilesComeFromBinDeltas)
     EXPECT_EQ(w.latencyCount, 100u);
     EXPECT_GT(w.p50Ns, 300'000.0);
     EXPECT_GT(w.p99Ns, 300'000.0);
-    EXPECT_FALSE(collector.latencyUpperNs().empty());
 }
 
 TEST_F(CollectorTest, MarginDeltasTrackTheWindowNotTheTotal)
@@ -141,34 +140,6 @@ TEST(WindowRing, CapacityClampedToAtLeastOne)
     w.seq = 9;
     ring.push(w);
     EXPECT_EQ(ring.newest().seq, 9u);
-}
-
-TEST(AggregateLatency, SumsBucketDeltasAcrossWindows)
-{
-    MetricRegistry reg;
-    QualityTelemetry quality;
-    WindowCollector collector(reg, quality);
-    LatencyHistogram &lat = reg.latency("serve.request.latency");
-
-    WindowRing ring(8);
-    for (int win = 0; win < 3; ++win) {
-        for (int i = 0; i < 100; ++i)
-            lat.record(win == 2 ? 4'000'000 : 2'000);
-        ring.push(collector.sample(
-            static_cast<std::uint64_t>(win + 1) * kSecondNs));
-    }
-
-    const LatencySnapshot lastOnly =
-        aggregateLatency(ring, 1, collector.latencyUpperNs());
-    EXPECT_EQ(lastOnly.count, 100u);
-    EXPECT_GT(lastOnly.percentileNs(0.5), 1'000'000.0);
-
-    const LatencySnapshot all =
-        aggregateLatency(ring, 3, collector.latencyUpperNs());
-    EXPECT_EQ(all.count, 300u);
-    // Two thirds of the mass is fast, so the median stays fast.
-    EXPECT_LT(all.percentileNs(0.5), 100'000.0);
-    EXPECT_GT(all.percentileNs(0.99), 1'000'000.0);
 }
 
 } // namespace

@@ -135,4 +135,38 @@ if(rc EQUAL 0)
     message(FATAL_ERROR "lookhd_info accepted a non-model file")
 endif()
 
+# Fail closed: an option no tool reads, a value that is not wholly a
+# number, a negative count or a port above 65535 exits non-zero
+# before anything starts, with a message naming the option. The
+# serve cases carry --max-seconds 1 so that a build which ignores the
+# bad option exits instead of serving forever.
+function(expect_rejected tool option)
+    execute_process(
+        COMMAND "${${tool}}" ${ARGN}
+        OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+    if(rc EQUAL 0 OR out MATCHES "listening on" OR
+       NOT err MATCHES "${option}")
+        message(FATAL_ERROR
+            "${tool} ${ARGN}: expected a non-zero exit naming "
+            "${option} before anything starts (rc ${rc})\n"
+            "stdout: ${out}\nstderr: ${err}")
+    endif()
+endfunction()
+
+set(serve_args --model "${model}" --metrics-port 0 --max-seconds 1)
+foreach(tool TRAIN PREDICT INFO LOADGEN)
+    expect_rejected(${tool} --no-such-option --no-such-option 1)
+endforeach()
+expect_rejected(SERVE --no-such-option
+    ${serve_args} --port 0 --no-such-option 1)
+expect_rejected(SERVE --batch-delay-us
+    ${serve_args} --port 0 --batch-delay-us 200)
+expect_rejected(SERVE --drift-ref
+    ${serve_args} --port 0 --drift-ref x)
+expect_rejected(SERVE --port ${serve_args} --port 70000)
+expect_rejected(SERVE --window-s
+    ${serve_args} --port 0 --window-s abc)
+expect_rejected(SERVE --queue-cap
+    ${serve_args} --port 0 --queue-cap -1)
+
 message(STATUS "cli round trip OK")

@@ -28,7 +28,10 @@ main(int argc, char **argv)
 {
     using namespace lookhd;
     try {
-        const tools::Args args(argc, argv, {"help", "version"});
+        const tools::Args args(argc, argv,
+                               {{"model", tools::Opt::kText},
+                                {"help", tools::Opt::kFlag},
+                                {"version", tools::Opt::kFlag}});
         if (args.has("help")) {
             std::printf("%s", kUsage);
             return 0;

@@ -134,9 +134,17 @@ main(int argc, char **argv)
 {
     using namespace lookhd;
     try {
+        using tools::Opt;
         const tools::Args args(
             argc, argv,
-            {"quick", "quiet", "help", "trace", "version"});
+            {{"port", Opt::kPort},         {"features", Opt::kCount},
+             {"host", Opt::kText},         {"connections", Opt::kCount},
+             {"requests", Opt::kCount},    {"seed", Opt::kCount},
+             {"burst", Opt::kCount},       {"lo", Opt::kNumber},
+             {"hi", Opt::kNumber},         {"trace", Opt::kFlag},
+             {"slow-ms", Opt::kCount},     {"json-out", Opt::kText},
+             {"quick", Opt::kFlag},        {"quiet", Opt::kFlag},
+             {"help", Opt::kFlag},         {"version", Opt::kFlag}});
         if (args.has("help")) {
             std::printf("%s", kUsage);
             return 0;

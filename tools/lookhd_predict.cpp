@@ -68,9 +68,16 @@ main(int argc, char **argv)
 {
     using namespace lookhd;
     try {
-        const tools::Args args(argc, argv,
-                               {"label-first", "quiet", "help",
-                                "version"});
+        using tools::Opt;
+        const tools::Args args(
+            argc, argv,
+            {{"model", Opt::kText},        {"input", Opt::kText},
+             {"label-first", Opt::kFlag},  {"skip-rows", Opt::kCount},
+             {"threads", Opt::kCount},     {"batch", Opt::kCount},
+             {"quiet", Opt::kFlag},        {"metrics-out", Opt::kText},
+             {"quality-out", Opt::kText},  {"trace-out", Opt::kText},
+             {"profile-out", Opt::kText},  {"profile-hz", Opt::kCount},
+             {"help", Opt::kFlag},         {"version", Opt::kFlag}});
         if (args.has("help")) {
             std::printf("%s", kUsage);
             return 0;

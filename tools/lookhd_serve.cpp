@@ -13,6 +13,9 @@
  *                [--slow-log slow.jsonl]
  *                [--event-log events.jsonl]
  *                [--metrics-out metrics.json]
+ *                [--window-s 5] [--overload-hold-ms 2000]
+ *                [--score-delay-us 0]
+ *                [--profile-out profile.txt] [--profile-hz 99]
  *                [--max-seconds N] [--quiet] [--version]
  *
  * Speaks newline-delimited JSON on the request port
@@ -27,10 +30,11 @@
  * so drivers (tools/serve_smoke.py) can parse them. SIGTERM/SIGINT
  * triggers a graceful shutdown: stop accepting, drain the queue,
  * flush the event log, exit 0. --event-log appends JSON-lines
- * events (flushed every watchdog period, on shutdown, and
- * best-effort on crash); --metrics-out dumps the final registry
- * JSON on exit. --max-seconds is a CI belt: self-terminate cleanly
- * after N seconds even if no signal arrives.
+ * events (flushed every 50 ms, on shutdown, and best-effort on
+ * crash); --metrics-out dumps the final registry JSON on exit.
+ * --max-seconds is a CI belt: self-terminate cleanly after N
+ * seconds even if no signal arrives. An undeclared option or a
+ * malformed number exits 1 before anything starts (tools/cli.hpp).
  */
 
 #include <atomic>
@@ -40,15 +44,11 @@
 #include <fstream>
 #include <thread>
 
-#include <sstream>
-
 #include "cli.hpp"
 #include "lookhd/serialize.hpp"
 #include "obs/eventlog.hpp"
 #include "obs/obs.hpp"
-#include "obs/quality.hpp"
 #include "profile_cli.hpp"
-#include "serve/jsonin.hpp"
 #include "serve/server.hpp"
 #include "util/timer.hpp"
 #include "version.hpp"
@@ -66,11 +66,7 @@ constexpr const char *kUsage =
     "                    [--slow-log slow.jsonl]\n"
     "                    [--event-log events.jsonl]\n"
     "                    [--metrics-out metrics.json]\n"
-    "                    [--window-s 5] [--slo-p99-ms 0]\n"
-    "                    [--slo-error-rate 0] [--drift-psi 0.25]\n"
-    "                    [--drift-ph-lambda 0]\n"
-    "                    [--drift-warmup 3] [--drift-ref q.json]\n"
-    "                    [--overload-hold-ms 2000]\n"
+    "                    [--window-s 5] [--overload-hold-ms 2000]\n"
     "                    [--score-delay-us 0]\n"
     "                    [--profile-out profile.txt]\n"
     "                    [--profile-hz 99]\n"
@@ -98,21 +94,12 @@ constexpr const char *kUsage =
     "  --slow-log FILE     append captured requests as JSON lines\n"
     "  --event-log FILE    append JSON-lines request-scope events\n"
     "  --metrics-out FILE  dump the final metric registry as JSON\n"
-    "  --window-s N        health/telemetry window length in seconds\n"
-    "                      (0 disables the window sampler; /healthz\n"
+    "  --window-s N        telemetry window length in seconds; each\n"
+    "                      window's margins are checked for drift\n"
+    "                      (PSI >= 0.25) against the first 3\n"
+    "                      windows of live traffic (0 disables\n"
+    "                      windows and the drift rule; /healthz\n"
     "                      still reflects drain/overload/stall)\n"
-    "  --slo-p99-ms N      p99 latency objective per window set\n"
-    "                      (0 disables the rule)\n"
-    "  --slo-error-rate F  error-ratio objective, e.g. 0.01\n"
-    "                      (0 disables the rule)\n"
-    "  --drift-psi F       PSI drift threshold on serve margins\n"
-    "                      (0 disables; default 0.25)\n"
-    "  --drift-ph-lambda F Page-Hinkley threshold on window margin\n"
-    "                      means (0 disables; try 0.1-0.3)\n"
-    "  --drift-warmup N    windows folded into the live reference\n"
-    "  --drift-ref FILE    quality JSON from lookhd_train\n"
-    "                      --quality-out; its margin histogram\n"
-    "                      becomes the drift reference\n"
     "  --overload-hold-ms N  keep /healthz unready this long after\n"
     "                      an overload rejection\n"
     "  --score-delay-us N  artificial per-batch scoring delay\n"
@@ -133,65 +120,6 @@ handleStopSignal(int)
     gStopRequested.store(true);
 }
 
-/**
- * Load a drift reference from a `--quality-out` JSON document: the
- * margin histogram named "train.test" (lookhd_train's eval-split
- * margins), falling back to "predict", then the first entry. The
- * JSON parsing stays in the tool so obs/health.hpp takes plain
- * bucket fractions and never depends on the serve wire parser.
- */
-std::vector<double>
-loadDriftReference(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("cannot read " + path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string parseError;
-    const std::unique_ptr<lookhd::serve::JsonValue> doc =
-        lookhd::serve::parseJson(text.str(), parseError);
-    if (!doc)
-        throw std::runtime_error("bad JSON in " + path + ": " +
-                                 parseError);
-    const lookhd::serve::JsonValue *margins = doc->find("margins");
-    if (margins == nullptr || !margins->isObject() ||
-        margins->object.empty())
-        throw std::runtime_error(
-            path + " has no \"margins\" histograms");
-    const lookhd::serve::JsonValue *entry =
-        margins->find("train.test");
-    if (entry == nullptr)
-        entry = margins->find("predict");
-    if (entry == nullptr)
-        entry = &margins->object.begin()->second;
-    const lookhd::serve::JsonValue *buckets = entry->find("buckets");
-    if (buckets == nullptr || !buckets->isArray() ||
-        buckets->array.size() !=
-            lookhd::obs::MarginHistogram::kNumBuckets)
-        throw std::runtime_error(
-            path + ": margin histogram has no " +
-            std::to_string(
-                lookhd::obs::MarginHistogram::kNumBuckets) +
-            "-bucket \"buckets\" array");
-    double total = 0.0;
-    std::vector<double> fractions;
-    fractions.reserve(buckets->array.size());
-    for (const lookhd::serve::JsonValue &b : buckets->array) {
-        if (!b.isNumber() || b.number < 0.0)
-            throw std::runtime_error(path +
-                                     ": non-numeric bucket count");
-        fractions.push_back(b.number);
-        total += b.number;
-    }
-    if (total <= 0.0)
-        throw std::runtime_error(path +
-                                 ": empty margin histogram");
-    for (double &f : fractions)
-        f /= total;
-    return fractions;
-}
-
 } // namespace
 
 int
@@ -199,8 +127,22 @@ main(int argc, char **argv)
 {
     using namespace lookhd;
     try {
-        const tools::Args args(argc, argv,
-                               {"quiet", "help", "version"});
+        using tools::Opt;
+        const tools::Args args(
+            argc, argv,
+            {{"model", Opt::kText},          {"port", Opt::kPort},
+             {"metrics-port", Opt::kPort},   {"workers", Opt::kCount},
+             {"batch-max", Opt::kCount},     {"threads", Opt::kCount},
+             {"precision", Opt::kText},      {"queue-cap", Opt::kCount},
+             {"watchdog-ms", Opt::kCount},   {"slow-ms", Opt::kCount},
+             {"sample-every", Opt::kCount},  {"slow-log", Opt::kText},
+             {"event-log", Opt::kText},      {"metrics-out", Opt::kText},
+             {"window-s", Opt::kNumber},
+             {"overload-hold-ms", Opt::kCount},
+             {"score-delay-us", Opt::kCount},
+             {"profile-out", Opt::kText},    {"profile-hz", Opt::kCount},
+             {"max-seconds", Opt::kCount},   {"quiet", Opt::kFlag},
+             {"help", Opt::kFlag},           {"version", Opt::kFlag}});
         if (args.has("help")) {
             std::printf("%s", kUsage);
             return 0;
@@ -235,20 +177,7 @@ main(int argc, char **argv)
                            1'000ULL;
         cfg.overloadHoldMs = static_cast<std::uint64_t>(
             args.getInt("overload-hold-ms", 2000));
-        cfg.health.windowSeconds = args.getDouble("window-s", 5.0);
-        cfg.health.slo.p99Ms = args.getDouble("slo-p99-ms", 0.0);
-        cfg.health.slo.errorRate =
-            args.getDouble("slo-error-rate", 0.0);
-        cfg.health.drift.psiThreshold =
-            args.getDouble("drift-psi", 0.25);
-        cfg.health.drift.pageHinkley.lambda =
-            args.getDouble("drift-ph-lambda", 0.0);
-        cfg.health.drift.warmupWindows = static_cast<std::size_t>(
-            args.getInt("drift-warmup", 3));
-        const std::string drift_ref = args.get("drift-ref", "");
-        if (!drift_ref.empty())
-            cfg.health.drift.referenceFractions =
-                loadDriftReference(drift_ref);
+        cfg.windowSeconds = args.getDouble("window-s", 5.0);
 
         const std::string slow_log = args.get("slow-log", "");
         if (!slow_log.empty()) {

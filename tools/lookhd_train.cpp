@@ -75,10 +75,20 @@ main(int argc, char **argv)
 {
     using namespace lookhd;
     try {
+        using tools::Opt;
         const tools::Args args(
             argc, argv,
-            {"linear", "per-feature", "no-compress", "label-first",
-             "quiet", "help", "version"});
+            {{"input", Opt::kText},         {"output", Opt::kText},
+             {"dim", Opt::kCount},          {"q", Opt::kCount},
+             {"r", Opt::kCount},            {"epochs", Opt::kCount},
+             {"seed", Opt::kCount},         {"test-fraction", Opt::kNumber},
+             {"threads", Opt::kCount},      {"linear", Opt::kFlag},
+             {"per-feature", Opt::kFlag},   {"no-compress", Opt::kFlag},
+             {"label-first", Opt::kFlag},   {"skip-rows", Opt::kCount},
+             {"quiet", Opt::kFlag},         {"metrics-out", Opt::kText},
+             {"quality-out", Opt::kText},   {"trace-out", Opt::kText},
+             {"profile-out", Opt::kText},   {"profile-hz", Opt::kCount},
+             {"help", Opt::kFlag},          {"version", Opt::kFlag}});
         if (args.has("help")) {
             std::printf("%s", kUsage);
             return 0;

@@ -96,7 +96,7 @@ TRACE_REQ_ID = 424242
 
 # Profile-phase sampling parameters. The bound check needs a busy-
 # thread ceiling: 2 workers + 2 loadgen connection threads + metrics
-# + sampler + main, rounded up for headroom (CPU-clock timers cannot
+# + housekeeping + main, rounded up for headroom (CPU-clock timers cannot
 # oversample a thread, so a loose ceiling stays a real check).
 PROFILE_SECONDS = 2
 PROFILE_HZ = 199
@@ -546,8 +546,7 @@ def degraded_phase(serve_bin: str, model: Path, work: Path) -> None:
          "--metrics-port", "0", "--workers", "1",
          "--batch-max", "1", "--queue-cap", "4",
          "--score-delay-us", "5000", "--window-s", "1",
-         "--slo-error-rate", "0.01", "--overload-hold-ms", "1500",
-         "--max-seconds", "120"],
+         "--overload-hold-ms", "1500", "--max-seconds", "120"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         port, metrics_port = wait_for_ports(server)
