@@ -6,9 +6,8 @@
  * clock (timer_create over pthread_getcpuclockid, SIGEV_THREAD_ID
  * delivery), so SIGPROF fires on the thread that burned the CPU and
  * only in proportion to CPU actually burned - sleeping threads cost
- * nothing and produce no samples. The handler is async-signal-safe
- * in the style of the event log's crash flush (obs/eventlog.cpp): it
- * calls backtrace(3) (warmed up before any timer is armed, so the
+ * nothing and produce no samples. The handler is async-signal-safe:
+ * it calls backtrace(3) (warmed up before any timer is armed, so the
  * lazy libgcc load never happens in signal context), reads one
  * relaxed thread-local atomic (the current request stage), and
  * appends one fixed-size record to a lock-free per-thread SPSC

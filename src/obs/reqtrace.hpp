@@ -25,12 +25,12 @@
  * server-side; either way the id is echoed in the response so
  * clients can cross-reference server-side records.
  *
- * SlowRequestLog keeps its records in the per-thread ring the event
- * log uses (obs/thread_ring.hpp): one mutex-guarded ring per writer
- * thread, so the steady-state append never contends with readers
- * copying another thread's ring. Unlike the event log, reads here
- * are NON-destructive - /debug/requests is a peek, and file flushing
- * is incremental via the per-record global sequence number.
+ * SlowRequestLog keeps its records in obs::ThreadRing
+ * (obs/thread_ring.hpp): one mutex-guarded ring per writer thread,
+ * so the steady-state append never contends with readers copying
+ * another thread's ring. Reads are NON-destructive - /debug/requests
+ * is a peek, and file flushing is incremental via the per-record
+ * global sequence number.
  *
  * This file lives in src/obs/ deliberately: record wall-clock
  * stamps and trace-id seeding use std::chrono::system_clock, which
@@ -197,8 +197,8 @@ void writeSlowRequestJson(JsonWriter &w, const SlowRequestRecord &r);
 /**
  * Bounded capture ring for slow/sampled requests.
  *
- * Same shape as EventLog: each writer thread owns one fixed-capacity
- * overwrite-oldest ring (uncontended mutex), owned by the log.
+ * Each writer thread owns one fixed-capacity overwrite-oldest ring
+ * (uncontended mutex), owned by the log.
  * Readers are non-destructive: snapshot() returns a seq-ordered copy
  * for /debug/requests, writeJsonLines() appends only records newer
  * than a caller-held watermark so a periodic file flush never

@@ -1,8 +1,8 @@
 /**
  * @file
  * One fixed-capacity ring per (owner, thread): the per-thread buffer
- * under the event log (obs/eventlog.hpp), the slow-request log
- * (obs/reqtrace.hpp) and trace-span events (obs/trace.hpp).
+ * under the slow-request log (obs/reqtrace.hpp) and trace-span
+ * events (obs/trace.hpp).
  *
  * A thread's first push() creates its ring and release-publishes it
  * on the owner's lock-free list; later pushes find it through a
@@ -16,7 +16,7 @@
  * The profiler's SIGPROF ring (obs/profiler.cpp) is deliberately not
  * one of these. Its producer is a signal handler, which cannot take
  * a mutex, and a lock-free ring cannot carry the std::string
- * payloads of the other three without torn reads.
+ * payloads of the other two without torn reads.
  *
  * Also here: the small thread id and the Unix-ms wall clock that the
  * rings' users stamp their entries with. This is src/obs/, the
@@ -74,24 +74,6 @@ class ThreadRing
         /** Entries overwritten since the ring's last drain/clear. */
         std::uint64_t dropped = 0;
         std::vector<T> items;
-    };
-
-    /** Allocation-free view of one ring, for the crash path. */
-    struct View
-    {
-        std::uint64_t thread;
-        std::uint64_t dropped;
-        std::size_t size;
-        const T *slots;
-        std::size_t capacity;
-        std::size_t head;
-
-        /** The @p i-th oldest entry, i < size. */
-        const T &
-        operator[](std::size_t i) const
-        {
-            return slots[(head + capacity - size + i) % capacity];
-        }
     };
 
     /** @param capacity Entries kept per thread (0 is taken as 1). */
@@ -190,29 +172,6 @@ class ThreadRing
             ring->size = 0;
             ring->dropped = 0;
             ring->droppedTotal = 0;
-        }
-    }
-
-    /**
-     * Call @p visit(const View &) once per ring WITHOUT taking any
-     * lock, and change nothing: the crash-signal path's read. A
-     * signal handler must not lock (the crashing thread may hold the
-     * mutex), so entries are read racing with live writers by
-     * design; on a dying process a torn tail beats an empty log. The
-     * list itself is safe to walk: release-published, and rings are
-     * freed only with the owner. Allocates nothing.
-     */
-    template <typename Visit>
-    void
-    readUnlocked(Visit &&visit) const LOOKHD_NO_THREAD_SAFETY_ANALYSIS
-    {
-        for (const Ring *ring =
-                 ringsHead_.load(std::memory_order_acquire);
-             ring != nullptr; ring = ring->nextRing) {
-            visit(View{ring->thread, ring->dropped,
-                       std::min(ring->size, capacity_),
-                       ring->slots.get(), capacity_,
-                       ring->head % capacity_});
         }
     }
 

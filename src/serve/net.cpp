@@ -8,6 +8,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <thread>
 #include <unistd.h>
 #include <utility>
@@ -104,8 +105,10 @@ TcpStream::connect(const std::string &host, std::uint16_t port)
 bool
 TcpStream::readLine(std::string &line)
 {
+    // buffer_[0, scanned) holds no '\n', so each byte is searched once.
+    std::size_t scanned = 0;
     while (true) {
-        const std::size_t newline = buffer_.find('\n');
+        const std::size_t newline = buffer_.find('\n', scanned);
         if (newline != std::string::npos) {
             line.assign(buffer_, 0, newline);
             if (!line.empty() && line.back() == '\r')
@@ -113,6 +116,10 @@ TcpStream::readLine(std::string &line)
             buffer_.erase(0, newline + 1);
             return true;
         }
+        scanned = buffer_.size();
+        if (scanned > kMaxLineBytes)
+            throw LineTooLong("line longer than " +
+                              std::to_string(kMaxLineBytes) + " bytes");
         char chunk[4096];
         const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
         if (n > 0) {
@@ -132,6 +139,17 @@ TcpStream::readLine(std::string &line)
             return false; // peer (or our shutdown) tore it down
         throwErrno("recv");
     }
+}
+
+void
+TcpStream::setReceiveTimeout(int ms)
+{
+    timeval timeout{};
+    timeout.tv_sec = ms / 1000;
+    timeout.tv_usec = (ms % 1000) * 1000;
+    if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                     sizeof(timeout)) != 0)
+        throwErrno("setsockopt SO_RCVTIMEO");
 }
 
 bool

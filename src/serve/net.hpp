@@ -5,16 +5,18 @@
  * Just enough socket plumbing for lookhd_serve / lookhd_loadgen and
  * the in-process tests: an owning listener bound to 127.0.0.1 (port
  * 0 = kernel-assigned, read back via port()), an owning connected
- * stream with buffered line reads, and sendAll/shutdown helpers.
- * Errors surface as NetError (std::runtime_error) carrying errno
- * text. SIGPIPE is never raised (MSG_NOSIGNAL); a peer hangup is a
- * normal short read / failed send, which the server treats as the
- * client going away, not a fault.
+ * stream with buffered, length-bounded line reads, and
+ * sendAll/shutdown helpers. Errors surface as NetError
+ * (std::runtime_error) carrying errno text. SIGPIPE is never raised
+ * (MSG_NOSIGNAL); a peer hangup is a normal short read / failed
+ * send, which the server treats as the client going away, not a
+ * fault.
  */
 
 #ifndef LOOKHD_SERVE_NET_HPP
 #define LOOKHD_SERVE_NET_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -28,10 +30,20 @@ class NetError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
+/** A line longer than TcpStream::kMaxLineBytes: the peer is refused. */
+class LineTooLong : public NetError
+{
+  public:
+    using NetError::NetError;
+};
+
 /** Connected TCP stream with a line-read buffer. Move-only. */
 class TcpStream
 {
   public:
+    /** Longest partial line readLine() buffers before refusing it. */
+    static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
     TcpStream() = default;
     /** Takes ownership of a connected @p fd. */
     explicit TcpStream(int fd) : fd_(fd) {}
@@ -52,10 +64,16 @@ class TcpStream
     /**
      * Read up to and including the next '\n' (which is stripped,
      * along with a preceding '\r'). @return false on clean EOF with
-     * nothing buffered. @throws NetError on socket errors.
+     * nothing buffered. @throws LineTooLong once more than
+     * kMaxLineBytes arrive without a '\n'; NetError on socket errors,
+     * including a receive timeout (setReceiveTimeout).
      * A final unterminated line before EOF is returned as-is.
      */
     bool readLine(std::string &line);
+
+    /** Make each recv() give up after @p ms without data. @throws
+     * NetError. */
+    void setReceiveTimeout(int ms);
 
     /** Write the whole buffer. @return false if the peer went away. */
     bool sendAll(std::string_view data);

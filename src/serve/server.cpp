@@ -10,12 +10,10 @@
 
 #include "hdc/kernels.hpp"
 #include "hdc/similarity.hpp"
-#include "obs/eventlog.hpp"
 #include "par/thread_pool.hpp"
 #include "obs/exposition.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
-#include "obs/procstats.hpp"
 #include "obs/profiler.hpp"
 #include "obs/thread_ring.hpp"
 #include "obs/trace.hpp"
@@ -26,26 +24,8 @@ namespace lookhd::serve {
 
 namespace {
 
-/** Compact one-line span-rollup dump for watchdog-trip events. */
-std::string
-rollupDump(std::size_t maxSites = 8)
-{
-    std::vector<obs::SpanStats> rollup = obs::spanRollup();
-    std::sort(rollup.begin(), rollup.end(),
-              [](const obs::SpanStats &a, const obs::SpanStats &b) {
-                  return a.totalNs > b.totalNs;
-              });
-    std::string out;
-    for (std::size_t i = 0;
-         i < rollup.size() && i < maxSites; ++i) {
-        if (!out.empty())
-            out += ' ';
-        out += rollup[i].name + "=" +
-               std::to_string(rollup[i].count) + "x/" +
-               std::to_string(rollup[i].totalNs) + "ns";
-    }
-    return out.empty() ? "(no spans)" : out;
-}
+/** How long the scrape loop waits on a silent scrape connection. */
+constexpr int kScrapeReceiveTimeoutMs = 1000;
 
 /**
  * Assemble one scrape-port HTTP/1.0 response. Every body is
@@ -322,7 +302,6 @@ InferenceServer::start()
     stopWorkers_.store(false, std::memory_order_release);
 
     lastOverloadNs_.store(0, std::memory_order_relaxed);
-    wasReady_.store(true, std::memory_order_relaxed);
     healthReady_.set(1.0);
     // Before the threads: the housekeeping and scrape threads read
     // health_ without a lock.
@@ -356,14 +335,6 @@ InferenceServer::start()
     obs::MetricRegistry::global()
         .gauge("serve.predict.threads")
         .set(static_cast<double>(predictThreads));
-
-    obs::EventLog::global().emit(
-        obs::LogLevel::kInfo, "serve.start",
-        {{"port", std::to_string(port())},
-         {"metrics_port", std::to_string(metricsPort())},
-         {"workers", std::to_string(workers)},
-         {"predict_threads", std::to_string(predictThreads)},
-         {"features", std::to_string(expectedFeatures_)}});
 }
 
 void
@@ -414,13 +385,6 @@ InferenceServer::stop()
         r.conn->close();
     connectionsOpen_.set(0.0);
     workerThreads_.clear();
-
-    obs::EventLog::global().emit(
-        obs::LogLevel::kInfo, "serve.shutdown",
-        {{"requests", std::to_string(requestsOk_.value())},
-         {"rejected",
-          std::to_string(requestsBad_.value() +
-                         requestsOverload_.value())}});
     started_.store(false, std::memory_order_release);
     stopping_.store(false, std::memory_order_release);
 }
@@ -481,8 +445,6 @@ void
 InferenceServer::connectionLoop(std::shared_ptr<Connection> conn)
 {
     obs::Profiler::registerCurrentThread();
-    obs::EventLog::global().emit(obs::LogLevel::kDebug,
-                                 "serve.conn.open");
     try {
         std::string line;
         while (conn->stream.readLine(line)) {
@@ -494,6 +456,12 @@ InferenceServer::connectionLoop(std::shared_ptr<Connection> conn)
             handleRequestLine(conn, line);
             obs::profilerPublishStage(obs::kProfileStageNone);
         }
+    } catch (const LineTooLong &e) {
+        // The rest of an overlong line cannot be told apart from the
+        // next request: refuse it and drop the connection.
+        requestsBad_.add();
+        conn->writeLine(
+            errorBody(IdKind::kNone, 0.0, {}, obs::TraceId{}, e.what()));
     } catch (const NetError &) {
         // Peer vanished mid-read; nothing to answer.
     }
@@ -501,8 +469,6 @@ InferenceServer::connectionLoop(std::shared_ptr<Connection> conn)
     connectionsOpen_.set(static_cast<double>(
         openConnections_.fetch_sub(1, std::memory_order_relaxed) -
         1));
-    obs::EventLog::global().emit(obs::LogLevel::kDebug,
-                                 "serve.conn.close");
     conn->readerDone.store(true, std::memory_order_release);
 }
 
@@ -540,32 +506,26 @@ InferenceServer::handleRequestLine(
                 req.ctx.clientSupplied = true;
     }
 
-    auto reject = [&](const std::string &message,
-                      obs::Counter &counter, const char *event) {
+    auto reject = [&](const std::string &message, obs::Counter &counter) {
         counter.add();
-        obs::EventLog::global().emit(obs::LogLevel::kWarn, event,
-                                     {{"error", message}});
         conn->writeLine(errorBody(req.idKind, req.idNumber,
                                   req.idString, req.ctx.trace,
                                   message));
     };
 
     if (!doc) {
-        reject("bad JSON: " + parseError, requestsBad_,
-               "serve.request.bad");
+        reject("bad JSON: " + parseError, requestsBad_);
         return;
     }
     const JsonValue *features = doc->find("features");
     if (features == nullptr || !features->isArray()) {
-        reject("missing \"features\" array", requestsBad_,
-               "serve.request.bad");
+        reject("missing \"features\" array", requestsBad_);
         return;
     }
     req.features.reserve(features->array.size());
     for (const JsonValue &v : features->array) {
         if (!v.isNumber()) {
-            reject("non-numeric feature", requestsBad_,
-                   "serve.request.bad");
+            reject("non-numeric feature", requestsBad_);
             return;
         }
         req.features.push_back(v.number);
@@ -574,7 +534,7 @@ InferenceServer::handleRequestLine(
         reject("expected " + std::to_string(expectedFeatures_) +
                    " features, got " +
                    std::to_string(req.features.size()),
-               requestsBad_, "serve.request.bad");
+               requestsBad_);
         return;
     }
 
@@ -592,8 +552,7 @@ InferenceServer::handleRequestLine(
             lastOverloadNs_.store(
                 util::Timer::processNanoseconds(),
                 std::memory_order_relaxed);
-            reject("overloaded", requestsOverload_,
-                   "serve.overload");
+            reject("overloaded", requestsOverload_);
             return;
         }
         queue_.push_back(std::move(req));
@@ -674,9 +633,6 @@ InferenceServer::processBatch(std::vector<Request> &batch,
             static_cast<std::int64_t>(batch.size()),
             std::memory_order_relaxed) +
         static_cast<std::int64_t>(batch.size())));
-    obs::EventLog::global().emit(
-        obs::LogLevel::kDebug, "serve.batch",
-        {{"size", std::to_string(batch.size())}});
     if (batch.size() > 1) {
         multiBatches_.add();
         batchedRequests_.add(
@@ -951,6 +907,9 @@ InferenceServer::metricsLoop()
         if (!stream.valid())
             continue;
         try {
+            // Scrapes are served one at a time: a peer that connects
+            // and sends nothing must not hold up /healthz or stop().
+            stream.setReceiveTimeout(kScrapeReceiveTimeoutMs);
             std::string requestLine;
             if (!stream.readLine(requestLine))
                 continue;
@@ -992,14 +951,10 @@ InferenceServer::metricsLoop()
                 "text/plain; version=0.0.4; charset=utf-8";
             std::string body;
             if (path == "/metrics") {
-                // Resource gauges refresh per scrape so Prometheus
-                // never reads a stale window-period value.
-                obs::publishProcessGauges();
                 body = obs::renderPrometheus(
                     obs::MetricRegistry::global().snapshot(),
                     obs::spanRollup());
             } else if (path == "/metrics.json") {
-                obs::publishProcessGauges();
                 contentType = "application/json";
                 body = obs::snapshotJson(
                            obs::MetricRegistry::global()) +
@@ -1055,7 +1010,8 @@ InferenceServer::metricsLoop()
 
             stream.sendAll(httpResponse(status, contentType, body));
         } catch (const NetError &) {
-            // Scraper hung up mid-exchange; next scrape will do.
+            // Scraper hung up or went silent mid-exchange; next
+            // scrape will do.
         }
     }
 }
@@ -1108,13 +1064,6 @@ InferenceServer::checkReadiness()
     }
 
     healthReady_.set(r.ready ? 1.0 : 0.0);
-    const bool was =
-        wasReady_.exchange(r.ready, std::memory_order_relaxed);
-    if (was != r.ready)
-        obs::EventLog::global().emit(
-            r.ready ? obs::LogLevel::kInfo : obs::LogLevel::kWarn,
-            r.ready ? "serve.health.ready" : "serve.health.unready",
-            {{"reason", r.reason}});
     return r;
 }
 
@@ -1191,7 +1140,6 @@ InferenceServer::housekeepingLoop()
         if (health_ != nullptr && now - windowStartNs >= windowNs) {
             windowStartNs = now;
             health_->sample(now, obs::wallClockMs());
-            obs::publishProcessGauges();
         }
     }
 }
@@ -1199,31 +1147,19 @@ InferenceServer::housekeepingLoop()
 void
 InferenceServer::checkStalls(std::uint64_t nowNs)
 {
-    for (std::size_t i = 0; i < workerStates_.size(); ++i) {
-        WorkerState &state = *workerStates_[i];
+    for (const std::unique_ptr<WorkerState> &state : workerStates_) {
         const std::uint64_t busySince =
-            state.busySinceNs.load(std::memory_order_relaxed);
-        if (busySince == 0)
-            continue;
-        const std::uint64_t elapsed = elapsedNs(nowNs, busySince);
-        if (elapsed < config_.watchdogDeadlineMs * 1'000'000ULL)
+            state->busySinceNs.load(std::memory_order_relaxed);
+        if (busySince == 0 ||
+            elapsedNs(nowNs, busySince) <
+                config_.watchdogDeadlineMs * 1'000'000ULL)
             continue;
         const std::uint64_t batch =
-            state.batchSeq.load(std::memory_order_relaxed);
-        if (batch == state.lastTrippedBatch)
-            continue; // already reported this stuck batch
-        state.lastTrippedBatch = batch;
+            state->batchSeq.load(std::memory_order_relaxed);
+        if (batch == state->lastTrippedBatch)
+            continue; // already counted this stuck batch
+        state->lastTrippedBatch = batch;
         watchdogTrips_.add();
-        obs::EventLog::global().emit(
-            obs::LogLevel::kError, "serve.watchdog.trip",
-            {{"worker", std::to_string(i)},
-             {"stage",
-              std::string(state.stage.load(
-                  std::memory_order_relaxed))},
-             {"elapsed_ms",
-              std::to_string(elapsed / 1'000'000ULL)},
-             {"batch", std::to_string(batch)},
-             {"span_rollup", rollupDump()}});
     }
 }
 

@@ -14,6 +14,9 @@
  *   <- {"id":"a","pred":1,"scores":[-0.1,0.9]}
  *   <- {"id":9,"error":"expected 3 features, got 2"}   (bad request)
  *
+ * A line longer than TcpStream::kMaxLineBytes (1 MiB) is a bad
+ * request too: it gets one error line and the connection is closed.
+ *
  * Threading: one acceptor, one reader thread per connection feeding
  * a bounded request queue, a worker pool, one scrape-port thread, one
  * housekeeping thread (watchdog stall checks and window closes on
@@ -29,8 +32,9 @@
  * back-pressuring the socket, so queue depth is bounded and visible
  * in /metrics.
  *
- * Scrape port (HTTP/1.0, close-per-request, GET only - other
- * methods get 405):
+ * Scrape port (HTTP/1.0, close-per-request, one connection at a
+ * time, GET only - other methods get 405; a connection that sends
+ * nothing for 1 s is dropped):
  *   GET /metrics         Prometheus text format v0.0.4 of the global
  *                        registry + span rollup (obs/exposition.hpp)
  *   GET /metrics.json    the JSON snapshot document
@@ -73,16 +77,13 @@
  * directly - it is the product of this layer, not optional
  * instrumentation, so /metrics stays meaningful even in
  * -DLOOKHD_OBS=OFF builds where the macro sites compile out.
- * Request-scope events (start/shutdown, watchdog trips, overload)
- * land in obs::EventLog::global().
  *
  * On each tick the housekeeping thread checks every worker's
- * in-flight batch against the watchdog deadline; a stall logs a
- * watchdog.trip event carrying the worker's current stage and a
- * span-rollup dump (once per stuck batch), and increments
- * serve.watchdog.trips. On the first tick after windowSeconds have
- * passed it closes a telemetry window (obs/timeseries.hpp) and
- * judges it for drift.
+ * in-flight batch against the watchdog deadline; a stall increments
+ * serve.watchdog.trips once per stuck batch, and /debug/inflight
+ * shows the stuck worker's stage and busy time while it lasts. On
+ * the first tick after windowSeconds have passed it closes a
+ * telemetry window (obs/timeseries.hpp) and judges it for drift.
  */
 
 #ifndef LOOKHD_SERVE_SERVER_HPP
@@ -257,9 +258,8 @@ class InferenceServer
     /**
      * Compute the current readiness verdict (highest-priority
      * violation wins: draining > queue_saturated > overloaded >
-     * watchdog_stalled > drift), update the serve.health.ready
-     * gauge, and log transitions. This is what GET /healthz serves;
-     * public for tests.
+     * watchdog_stalled > drift) and update the serve.health.ready
+     * gauge. This is what GET /healthz serves; public for tests.
      */
     Readiness checkReadiness();
 
@@ -287,7 +287,7 @@ class InferenceServer
     /** Watchdog stall checks and window closes, one tick per
      * watchdogPeriodMs. */
     void housekeepingLoop();
-    /** Log and count each worker batch stuck past the deadline. */
+    /** Count each worker batch stuck past the deadline, once. */
     void checkStalls(std::uint64_t nowNs);
 
     /** Parse + validate one request line; enqueue or answer error. */
@@ -332,8 +332,6 @@ class InferenceServer
     /** processNanoseconds() of the last overload rejection; feeds
      * the overloadHoldMs readiness latch. 0 = never. */
     std::atomic<std::uint64_t> lastOverloadNs_{0};
-    /** Last readiness published, for transition logging. */
-    std::atomic<bool> wasReady_{true};
 
     std::thread acceptThread_;
     std::thread metricsThread_;

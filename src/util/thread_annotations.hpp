@@ -23,9 +23,8 @@
  *                          (self-deadlock guard on public APIs)
  *   LOOKHD_CAPABILITY(x)   class is a lockable capability named x
  *   LOOKHD_NO_THREAD_SAFETY_ANALYSIS
- *                          opt one function out; every use must carry
- *                          a rationale comment (the crash-signal path
- *                          in obs/eventlog.cpp is the canonical one)
+ *                          opt one function out; a last resort, and
+ *                          every use must carry a rationale comment
  *
  * House rules for provable lock flows (see CONTRIBUTING.md):
  * prefer block-scoped MutexLock over manual lock()/unlock(); never

@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the sampling CPU profiler (obs/profiler.hpp) and the
- * process resource telemetry (obs/procstats.hpp).
+ * Tests for the sampling CPU profiler (obs/profiler.hpp).
  *
  * The profiler samples thread CPU time, so the workload burns a
  * known amount of CPU (self-timed on CLOCK_THREAD_CPUTIME_ID) and
@@ -22,22 +21,11 @@
 #include <cstdint>
 #include <ctime>
 #include <string>
-#include <vector>
 
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
-#include "obs/procstats.hpp"
 #include "obs/profiler.hpp"
 #include "obs/reqtrace.hpp"
-
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define LOOKHD_TEST_SANITIZED 1
-#endif
-#endif
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define LOOKHD_TEST_SANITIZED 1
-#endif
 
 /**
  * Burn @p cpuSeconds of this thread's CPU time. extern "C" +
@@ -230,58 +218,6 @@ TEST(ProfilerTest, CollapsedAndSpeedscopeExports)
               std::string::npos);
     // endValue = total samples * period = 5 * 10 ms.
     EXPECT_NE(json.find("\"endValue\":50000000"), std::string::npos);
-}
-
-TEST(ProcStatsTest, ReadProcessStatsIsSane)
-{
-    const obs::ProcessStats stats = obs::readProcessStats();
-#if defined(__linux__)
-    EXPECT_GT(stats.rssBytes, 0u);
-    EXPECT_GE(stats.rssHwmBytes, stats.rssBytes);
-    EXPECT_GE(stats.threads, 1u);
-    EXPECT_GE(stats.openFds, 1u);
-    EXPECT_GT(stats.minorFaults, 0u);
-#else
-    (void)stats; // all-zero is the documented non-Linux contract
-#endif
-}
-
-TEST(ProcStatsTest, PublishSetsProcessGauges)
-{
-    obs::publishProcessGauges();
-    const std::string prom = obs::renderPrometheus(
-        obs::MetricRegistry::global().snapshot());
-    for (const char *family :
-         {"lookhd_process_rss_bytes", "lookhd_process_threads",
-          "lookhd_process_open_fds",
-          "lookhd_process_ctx_switches{kind=\"voluntary\"}",
-          "lookhd_process_ctx_switches{kind=\"involuntary\"}",
-          "lookhd_process_alloc_bytes"}) {
-        EXPECT_NE(prom.find(family), std::string::npos)
-            << "missing " << family;
-    }
-}
-
-TEST(ProcStatsTest, AllocCountersTrackHeapTraffic)
-{
-#if LOOKHD_OBS_ENABLED && defined(__linux__) && \
-    !defined(LOOKHD_TEST_SANITIZED)
-    const obs::ProcessStats before = obs::readProcessStats();
-    {
-        std::vector<std::uint8_t> block(1 << 20, 1);
-        EXPECT_GT(block[123], 0u);
-    }
-    const obs::ProcessStats after = obs::readProcessStats();
-    EXPECT_GT(after.allocCount, before.allocCount);
-    EXPECT_GT(after.allocBytes, before.allocBytes);
-    EXPECT_GT(after.freeCount, before.freeCount);
-#else
-    // Hook compiled out (obs off, non-Linux, or a sanitizer owns
-    // malloc): the counters must read 0, not garbage.
-    const obs::ProcessStats stats = obs::readProcessStats();
-    EXPECT_EQ(stats.allocBytes, 0u);
-    EXPECT_EQ(stats.allocCount, 0u);
-#endif
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -25,12 +26,20 @@
 #include "lookhd/classifier.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/procstats.hpp"
 #include "obs/quality.hpp"
 #include "obs/reqtrace.hpp"
 #include "serve/jsonin.hpp"
 #include "serve/net.hpp"
 #include "serve/server.hpp"
+
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define LOOKHD_TEST_SANITIZED 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define LOOKHD_TEST_SANITIZED 1
+#endif
 
 namespace {
 
@@ -671,6 +680,57 @@ TEST(ServeHttp, NonGetRejectedAndResponsesUncacheable)
     server.stop();
 }
 
+TEST(ServeHttp, SilentScrapeConnectionDoesNotBlock)
+{
+    // The scrape port serves one connection at a time, so a peer that
+    // connects and sends nothing must time out rather than hold up
+    // /healthz and stop(). Every read here is bounded and the silent
+    // peers hang up after 5 s: a server that waits on them fails this
+    // test instead of hanging it.
+    serve::ServeConfig cfg;
+    cfg.workers = 1;
+    serve::InferenceServer server(trainedClassifier(), cfg);
+    server.start();
+
+    serve::TcpStream first =
+        serve::TcpStream::connect("127.0.0.1", server.metricsPort());
+    // Let the scrape loop take it before the probe queues behind it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    std::string status = "healthz unanswered";
+    {
+        serve::TcpStream probe =
+            serve::TcpStream::connect("127.0.0.1", server.metricsPort());
+        probe.setReceiveTimeout(3000);
+        EXPECT_TRUE(probe.sendAll("GET /healthz HTTP/1.0\r\n\r\n"));
+        try {
+            probe.readLine(status);
+        } catch (const serve::NetError &) {
+            // Timed out: status keeps saying so.
+        }
+    }
+    EXPECT_NE(status.find("200"), std::string::npos) << status;
+
+    serve::TcpStream second =
+        serve::TcpStream::connect("127.0.0.1", server.metricsPort());
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    std::atomic<bool> stopped{false};
+    std::thread hangUp([&] {
+        for (int i = 0; i < 500 && !stopped.load(); ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        first.shutdownBoth();
+        second.shutdownBoth();
+    });
+    const auto stopStart = std::chrono::steady_clock::now();
+    server.stop();
+    const auto stopMs =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - stopStart)
+            .count();
+    stopped.store(true);
+    hangUp.join();
+    EXPECT_LT(stopMs, 3000) << "stop() took " << stopMs << " ms";
+}
+
 TEST(ServeHealth, OverloadFlipsHealthzAndRecovers)
 {
     serve::ServeConfig cfg;
@@ -994,6 +1054,17 @@ TEST(ServeLifecycle, EphemeralPortsAreDistinctAndNonzero)
     server.stop();
 }
 
+/** Descriptors this process holds open (/proc/self/fd entries). */
+std::uint64_t
+openFds()
+{
+    const auto entries = std::distance(
+        std::filesystem::directory_iterator("/proc/self/fd"),
+        std::filesystem::directory_iterator());
+    // Less the iterator's own handle on the directory.
+    return static_cast<std::uint64_t>(entries) - 1;
+}
+
 TEST(ServeLifecycle, ClosedConnectionsReleaseTheirSockets)
 {
     // A closed connection gives back its server-side socket and its
@@ -1002,7 +1073,7 @@ TEST(ServeLifecycle, ClosedConnectionsReleaseTheirSockets)
     cfg.workers = 1;
     serve::InferenceServer server(trainedClassifier(), cfg);
     server.start();
-    const std::uint64_t fdsBefore = obs::readProcessStats().openFds;
+    const std::uint64_t fdsBefore = openFds();
 
     const std::vector<double> features(12, 0.5);
     for (std::uint64_t i = 0; i < 64; ++i) {
@@ -1014,11 +1085,11 @@ TEST(ServeLifecycle, ClosedConnectionsReleaseTheirSockets)
     // The acceptor reaps finished readers on each 100 ms poll.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(1);
-    std::uint64_t fds = obs::readProcessStats().openFds;
+    std::uint64_t fds = openFds();
     while (fds > fdsBefore + 2 &&
            std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        fds = obs::readProcessStats().openFds;
+        fds = openFds();
     }
     EXPECT_NEAR(static_cast<double>(fds),
                 static_cast<double>(fdsBefore), 2.0)
@@ -1067,7 +1138,7 @@ TEST(ServeLifecycle, AcceptErrorsDoNotSpin)
             server.start();
             rlimit limit{};
             ::getrlimit(RLIMIT_NOFILE, &limit);
-            limit.rlim_cur = obs::readProcessStats().openFds + 4;
+            limit.rlim_cur = openFds() + 4;
             const std::uint16_t port = server.port();
             if (::setrlimit(RLIMIT_NOFILE, &limit) == 0 &&
                 ::write(portPipe[1], &port, sizeof(port)) ==
@@ -1113,6 +1184,92 @@ TEST(ServeLifecycle, AcceptErrorsDoNotSpin)
     ASSERT_GE(before, 0.0);
     EXPECT_LT(after - before, 0.25)
         << "CPU seconds the idle server burned in 1 s";
+}
+
+TEST(ServeLifecycle, OverlongRequestLineClosesTheConnection)
+{
+    // A request line is bounded: megabytes without a newline are
+    // refused as one bad request and the connection is dropped,
+    // instead of growing the server's buffer without limit.
+    serve::ServeConfig cfg;
+    cfg.workers = 1;
+    serve::InferenceServer server(trainedClassifier(), cfg);
+    server.start();
+    obs::Counter &bad =
+        obs::MetricRegistry::global().counter("serve.requests.bad");
+    const std::uint64_t badBefore = bad.value();
+
+    {
+        serve::TcpStream stream =
+            serve::TcpStream::connect("127.0.0.1", server.port());
+        stream.setReceiveTimeout(3000);
+        // The server may hang up mid-send; only the hangup matters.
+        stream.sendAll(std::string(std::size_t{2} << 20, 'x'));
+        bool closed = false;
+        try {
+            std::string line;
+            while (stream.readLine(line)) {
+            }
+            closed = true;
+        } catch (const serve::NetError &) {
+            // Timed out: the server kept the connection open.
+        }
+        EXPECT_TRUE(closed) << "connection still open after 3 s";
+    }
+    EXPECT_EQ(bad.value() - badBefore, 1u);
+
+    serve::TcpStream fresh =
+        serve::TcpStream::connect("127.0.0.1", server.port());
+    const auto doc =
+        roundTrip(fresh, requestLine(1, std::vector<double>(12, 0.5)));
+    ASSERT_NE(doc, nullptr);
+    EXPECT_NE(doc->find("pred"), nullptr);
+    server.stop();
+}
+
+/** Resident set size in KiB (VmRSS of /proc/self/status), or -1. */
+long
+residentKiB()
+{
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    while (status >> key) {
+        if (key == "VmRSS:") {
+            long kib = -1;
+            status >> kib;
+            return kib;
+        }
+        std::getline(status, key);
+    }
+    return -1;
+}
+
+TEST(ServeLifecycle, ConnectionsDoNotGrowMemory)
+{
+#if defined(LOOKHD_TEST_SANITIZED)
+    GTEST_SKIP() << "sanitizer allocators keep freed memory resident";
+#endif
+    // Every connection gets its own reader thread; nothing that thread
+    // allocates may outlive the connection.
+    serve::ServeConfig cfg;
+    cfg.workers = 1;
+    serve::InferenceServer server(trainedClassifier(), cfg);
+    server.start();
+
+    const std::vector<double> features(12, 0.5);
+    long before = -1;
+    for (std::uint64_t i = 0; i < 220; ++i) {
+        if (i == 20) // after warm-up
+            before = residentKiB();
+        serve::TcpStream stream =
+            serve::TcpStream::connect("127.0.0.1", server.port());
+        ASSERT_NE(roundTrip(stream, requestLine(i, features)), nullptr);
+    }
+    const long after = residentKiB();
+    ASSERT_GT(before, 0);
+    EXPECT_LT(after - before, 4096)
+        << "KiB of resident memory 200 connections left behind";
+    server.stop();
 }
 
 TEST(ServeBatching, LoneRequestIsNotHeld)

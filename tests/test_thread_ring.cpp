@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the per-thread ring under the event log, the slow-request
- * log and trace-span events (obs/thread_ring.hpp).
+ * Tests for the per-thread ring under the slow-request log and
+ * trace-span events (obs/thread_ring.hpp).
  */
 
 #include <gtest/gtest.h>
@@ -121,28 +121,6 @@ TEST(ThreadRing, RingsOfExitedThreadsStayReadable)
     EXPECT_EQ(exited->items, (std::vector<int>{2, 3, 4, 5}));
     EXPECT_EQ(exited->dropped, 2u);
     EXPECT_EQ(ring.dropped(), 2u);
-}
-
-TEST(ThreadRing, CrashReadLeavesTheRingUnchanged)
-{
-    ThreadRing<std::string> ring(3);
-    for (const char *s : {"a", "b", "c", "d"})
-        ring.push(s);
-    std::vector<std::string> seen;
-    std::uint64_t dropped = 0;
-    ring.readUnlocked([&](const ThreadRing<std::string>::View &v) {
-        dropped += v.dropped;
-        for (std::size_t i = 0; i < v.size; ++i)
-            seen.push_back(v[i]);
-    });
-    EXPECT_EQ(seen, (std::vector<std::string>{"b", "c", "d"}));
-    EXPECT_EQ(dropped, 1u);
-
-    // Nothing was consumed: a normal drain still sees all of it.
-    const auto drained = ring.drain();
-    ASSERT_EQ(drained.size(), 1u);
-    EXPECT_EQ(drained[0].items, seen);
-    EXPECT_EQ(drained[0].dropped, 1u);
 }
 
 TEST(ThreadRing, ConcurrentWritersGetOneRingEach)

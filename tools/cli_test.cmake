@@ -163,6 +163,8 @@ expect_rejected(SERVE --batch-delay-us
     ${serve_args} --port 0 --batch-delay-us 200)
 expect_rejected(SERVE --drift-ref
     ${serve_args} --port 0 --drift-ref x)
+expect_rejected(SERVE --event-log
+    ${serve_args} --port 0 --event-log x)
 expect_rejected(SERVE --port ${serve_args} --port 70000)
 expect_rejected(SERVE --window-s
     ${serve_args} --port 0 --window-s abc)

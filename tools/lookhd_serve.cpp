@@ -11,7 +11,6 @@
  *                [--watchdog-ms 2000]
  *                [--slow-ms 100] [--sample-every N]
  *                [--slow-log slow.jsonl]
- *                [--event-log events.jsonl]
  *                [--metrics-out metrics.json]
  *                [--window-s 5] [--overload-hold-ms 2000]
  *                [--score-delay-us 0]
@@ -29,9 +28,9 @@
  *
  * so drivers (tools/serve_smoke.py) can parse them. SIGTERM/SIGINT
  * triggers a graceful shutdown: stop accepting, drain the queue,
- * flush the event log, exit 0. --event-log appends JSON-lines
- * events (flushed every 50 ms, on shutdown, and best-effort on
- * crash); --metrics-out dumps the final registry JSON on exit.
+ * flush the slow-request log, exit 0. --slow-log appends captured
+ * requests as JSON lines (flushed every 50 ms and on shutdown);
+ * --metrics-out dumps the final registry JSON on exit.
  * --max-seconds is a CI belt: self-terminate cleanly after N
  * seconds even if no signal arrives. An undeclared option or a
  * malformed number exits 1 before anything starts (tools/cli.hpp).
@@ -46,7 +45,6 @@
 
 #include "cli.hpp"
 #include "lookhd/serialize.hpp"
-#include "obs/eventlog.hpp"
 #include "obs/obs.hpp"
 #include "profile_cli.hpp"
 #include "serve/server.hpp"
@@ -64,7 +62,6 @@ constexpr const char *kUsage =
     "                    [--watchdog-ms 2000]\n"
     "                    [--slow-ms 100] [--sample-every N]\n"
     "                    [--slow-log slow.jsonl]\n"
-    "                    [--event-log events.jsonl]\n"
     "                    [--metrics-out metrics.json]\n"
     "                    [--window-s 5] [--overload-hold-ms 2000]\n"
     "                    [--score-delay-us 0]\n"
@@ -92,7 +89,6 @@ constexpr const char *kUsage =
     "                      slow-request log (0 disables)\n"
     "  --sample-every N    also capture every Nth request\n"
     "  --slow-log FILE     append captured requests as JSON lines\n"
-    "  --event-log FILE    append JSON-lines request-scope events\n"
     "  --metrics-out FILE  dump the final metric registry as JSON\n"
     "  --window-s N        telemetry window length in seconds; each\n"
     "                      window's margins are checked for drift\n"
@@ -136,8 +132,7 @@ main(int argc, char **argv)
              {"precision", Opt::kText},      {"queue-cap", Opt::kCount},
              {"watchdog-ms", Opt::kCount},   {"slow-ms", Opt::kCount},
              {"sample-every", Opt::kCount},  {"slow-log", Opt::kText},
-             {"event-log", Opt::kText},      {"metrics-out", Opt::kText},
-             {"window-s", Opt::kNumber},
+             {"metrics-out", Opt::kText},    {"window-s", Opt::kNumber},
              {"overload-hold-ms", Opt::kCount},
              {"score-delay-us", Opt::kCount},
              {"profile-out", Opt::kText},    {"profile-hz", Opt::kCount},
@@ -186,21 +181,8 @@ main(int argc, char **argv)
                 throw std::runtime_error("cannot write " + slow_log);
         }
 
-        const std::string event_log = args.get("event-log", "");
-        if (!event_log.empty()) {
-            // Truncate stale content, then append incrementally.
-            std::ofstream truncate(event_log, std::ios::trunc);
-            if (!truncate)
-                throw std::runtime_error("cannot write " + event_log);
-            obs::EventLog::installCrashFlush(event_log);
-        }
-
         tools::applyBuildInfoLabels("lookhd_serve");
         Classifier clf = loadClassifierFile(args.require("model"));
-        obs::EventLog::global().emit(
-            obs::LogLevel::kInfo, "serve.model.loaded",
-            {{"path", args.require("model")},
-             {"bytes", std::to_string(clf.modelSizeBytes())}});
 
         // Start the continuous session before the server threads so
         // they arm their timers as they register.
@@ -240,14 +222,8 @@ main(int argc, char **argv)
                 std::chrono::milliseconds(50));
             if (max_seconds > 0 &&
                 uptime.seconds() >=
-                    static_cast<double>(max_seconds)) {
-                obs::EventLog::global().emit(
-                    obs::LogLevel::kWarn, "serve.max_seconds",
-                    {{"limit", std::to_string(max_seconds)}});
+                    static_cast<double>(max_seconds))
                 break;
-            }
-            if (!event_log.empty())
-                obs::EventLog::global().flushToFile(event_log);
             flushSlowLog();
             if (!profile_out.empty())
                 obs::Profiler::global().drain();
@@ -255,9 +231,6 @@ main(int argc, char **argv)
 
         server.stop();
         tools::writeProfile(profile_out);
-        if (!event_log.empty() &&
-            !obs::EventLog::global().flushToFile(event_log))
-            throw std::runtime_error("cannot write " + event_log);
         if (!flushSlowLog())
             throw std::runtime_error("cannot write " + slow_log);
 
