@@ -164,6 +164,19 @@ scoresBatchI8Scalar(const std::int8_t *const *queries,
             out[q * numRows + r] = dotI8I8Scalar(queries[q], rows[r], n);
 }
 
+void
+accumulateRowsScalar(double *acc, const double *const *rows,
+                     const double *scales, std::size_t count,
+                     std::size_t k)
+{
+    for (std::size_t t = 0; t < count; ++t) {
+        const double s = scales[t];
+        const double *row = rows[t];
+        for (std::size_t i = 0; i < k; ++i)
+            acc[i] += s * row[i];
+    }
+}
+
 constexpr detail::KernelTable kScalarTable = {
     Impl::kScalar,
     dotIntScalar,
@@ -177,6 +190,7 @@ constexpr detail::KernelTable kScalarTable = {
     matchCountWordsScalar,
     similarityBatchScalar,
     scoresBatchI8Scalar,
+    accumulateRowsScalar,
 };
 
 const detail::KernelTable *
@@ -356,6 +370,13 @@ scoresBatchI8(const std::int8_t *const *queries,
 {
     active().scoresBatchI8(queries, numQueries, rows, numRows, n,
                            out);
+}
+
+void
+accumulateRows(double *acc, const double *const *rows,
+               const double *scales, std::size_t count, std::size_t k)
+{
+    active().accumulateRows(acc, rows, scales, count, k);
 }
 
 } // namespace lookhd::hdc::kernels

@@ -19,7 +19,10 @@
  *    key-signed accumulate of the compressed model and the lookup
  *    encoder;
  *  - matchCountWords: the popcount word loop behind every packed
- *    Hamming similarity (deduplicated from bitpack.cpp).
+ *    Hamming similarity (deduplicated from bitpack.cpp);
+ *  - accumulateRows: scaled k-vector rows summed into one k-vector,
+ *    which builds and reads the fused score table
+ *    (lookhd/score_table.hpp).
  *
  * Dispatch: the best implementation the CPU supports is chosen once
  * at first use (AVX-512 > AVX2 > NEON > scalar, each gated on the
@@ -36,7 +39,9 @@
  * single-query results by construction. (The AVX-512 table reuses
  * the AVX2 double kernels verbatim; its 512-bit code covers only the
  * exact integer kernels, so widening dispatch cannot perturb float
- * scores.)
+ * scores.) accumulateRows runs its vector lanes across the k
+ * classes, never along the sum, so every lane is one sequential sum
+ * and all implementations agree by construction.
  */
 
 #ifndef LOOKHD_HDC_KERNELS_HPP
@@ -155,6 +160,17 @@ void scoresBatchI8(const std::int8_t *const *queries,
                    const std::int8_t *const *rows, std::size_t numRows,
                    std::size_t n, std::int64_t *out);
 
+/**
+ * acc[i] += scales[t] * rows[t][i] for every i < k, over t = 0 ..
+ * count - 1 in that order: each lane i is one sequential sum, and a
+ * product is rounded before it is added (no FMA contraction). The
+ * fused score table's build and lookup (scales of +-1 or +-2, which
+ * multiply exactly).
+ */
+void accumulateRows(double *acc, const double *const *rows,
+                    const double *scales, std::size_t count,
+                    std::size_t k);
+
 namespace detail {
 
 /** One implementation's function table (internal; see kernels.cpp). */
@@ -187,6 +203,8 @@ struct KernelTable
     void (*scoresBatchI8)(const std::int8_t *const *, std::size_t,
                           const std::int8_t *const *, std::size_t,
                           std::size_t, std::int64_t *);
+    void (*accumulateRows)(double *, const double *const *,
+                           const double *, std::size_t, std::size_t);
 };
 
 /** The always-available scalar reference table. */

@@ -317,6 +317,75 @@ scoresBatchI8Avx2(const std::int8_t *const *queries,
             out[q * numRows + r] = dotI8I8Avx2(queries[q], rows[r], n);
 }
 
+/** Lanes [off, off + 4 * NV) of accumulateRows, held in registers
+ * across the whole row list (written out per accumulator: a loop
+ * over them is left rolled at -O2 and spills them to the stack). */
+template <std::size_t NV>
+void
+accumulateRowsBlock(double *acc, const double *const *rows,
+                    const double *scales, std::size_t count,
+                    std::size_t off)
+{
+    static_assert(NV >= 1 && NV <= 4);
+    double *out = acc + off;
+    __m256d a0 = _mm256_loadu_pd(out);
+    __m256d a1 = NV > 1 ? _mm256_loadu_pd(out + 4) : _mm256_setzero_pd();
+    __m256d a2 = NV > 2 ? _mm256_loadu_pd(out + 8) : _mm256_setzero_pd();
+    __m256d a3 = NV > 3 ? _mm256_loadu_pd(out + 12) : _mm256_setzero_pd();
+    for (std::size_t t = 0; t < count; ++t) {
+        const __m256d s = _mm256_broadcast_sd(scales + t);
+        const double *row = rows[t] + off;
+        a0 = _mm256_add_pd(a0, _mm256_mul_pd(s, _mm256_loadu_pd(row)));
+        if constexpr (NV > 1)
+            a1 = _mm256_add_pd(a1,
+                               _mm256_mul_pd(s, _mm256_loadu_pd(row + 4)));
+        if constexpr (NV > 2)
+            a2 = _mm256_add_pd(a2,
+                               _mm256_mul_pd(s, _mm256_loadu_pd(row + 8)));
+        if constexpr (NV > 3)
+            a3 = _mm256_add_pd(
+                a3, _mm256_mul_pd(s, _mm256_loadu_pd(row + 12)));
+    }
+    _mm256_storeu_pd(out, a0);
+    if constexpr (NV > 1)
+        _mm256_storeu_pd(out + 4, a1);
+    if constexpr (NV > 2)
+        _mm256_storeu_pd(out + 8, a2);
+    if constexpr (NV > 3)
+        _mm256_storeu_pd(out + 12, a3);
+}
+
+void
+accumulateRowsAvx2(double *acc, const double *const *rows,
+                   const double *scales, std::size_t count,
+                   std::size_t k)
+{
+    // Lanes run across classes: every lane is the scalar kernel's
+    // sequential sum, mul then add, so the bits match it.
+    std::size_t i = 0;
+    for (; i + 16 <= k; i += 16)
+        accumulateRowsBlock<4>(acc, rows, scales, count, i);
+    switch ((k - i) / 4) {
+    case 3:
+        accumulateRowsBlock<3>(acc, rows, scales, count, i);
+        break;
+    case 2:
+        accumulateRowsBlock<2>(acc, rows, scales, count, i);
+        break;
+    case 1:
+        accumulateRowsBlock<1>(acc, rows, scales, count, i);
+        break;
+    default:
+        break;
+    }
+    for (i = k & ~std::size_t{3}; i < k; ++i) {
+        double a = acc[i];
+        for (std::size_t t = 0; t < count; ++t)
+            a += scales[t] * rows[t][i];
+        acc[i] = a;
+    }
+}
+
 constexpr detail::KernelTable kAvx2Table = {
     Impl::kAvx2,
     dotIntAvx2,
@@ -330,6 +399,7 @@ constexpr detail::KernelTable kAvx2Table = {
     matchCountWordsAvx2,
     similarityBatchAvx2,
     scoresBatchI8Avx2,
+    accumulateRowsAvx2,
 };
 
 bool

@@ -51,6 +51,7 @@
 #include "lookhd/lookup_encoder.hpp"
 #include "lookhd/lookup_table.hpp"
 #include "lookhd/retrainer.hpp"
+#include "lookhd/score_table.hpp"
 #include "lookhd/serialize.hpp"
 
 // Hardware models and simulator

@@ -38,6 +38,12 @@ Classifier::restore(ClassifierConfig config,
         clf.model_->normalize();
     clf.compressed_ = std::move(compressed);
     clf.retrainHistory_ = std::move(retrain_history);
+    // The table is built on first float64 use; a file whose shape is
+    // past the table's cap fails here, at load.
+    ScoreTable::checkShape(clf.encoder_->chunks().numFeatures(),
+                           clf.encoder_->quantLevels(),
+                           clf.compressed_ ? clf.compressed_->numClasses()
+                                           : clf.model_->numClasses());
     return clf;
 }
 
@@ -45,6 +51,10 @@ void
 Classifier::fit(const data::Dataset &train)
 {
     LOOKHD_CHECK(!train.empty(), "cannot fit on an empty dataset");
+    // Before any training: a shape past the score table's cap could
+    // not be served at float64.
+    ScoreTable::checkShape(train.numFeatures(), config_.quantLevels,
+                           train.numClasses());
 
     LOOKHD_SPAN("classifier.fit", "train");
     LOOKHD_COUNT_ADD("classifier.fit.calls", 1);
@@ -53,6 +63,7 @@ Classifier::fit(const data::Dataset &train)
                      config_.quantLevels);
     LOOKHD_GAUGE_SET("classifier.config.chunk_size", config_.chunkSize);
     LOOKHD_GAUGE_SET("classifier.fit.samples", train.size());
+    table_ = std::make_unique<LazyScoreTable>();
 
     util::Rng rng(config_.seed);
     util::Rng level_rng = rng.split();
@@ -127,6 +138,27 @@ Classifier::fit(const data::Dataset &train)
                 *model_, encoded, train.labels()));
         }
     }
+
+    LOOKHD_SPAN("classifier.fit.score_table", "train");
+    scoreTable();
+}
+
+const ScoreTable &
+Classifier::scoreTable() const
+{
+    LazyScoreTable &lazy = *table_;
+    const ScoreTable *table = lazy.built.load(std::memory_order_acquire);
+    if (table == nullptr) {
+        const util::MutexLock lock(lazy.mutex);
+        if (!lazy.table) {
+            lazy.table.emplace(compressed_
+                                   ? ScoreTable(*encoder_, *compressed_)
+                                   : ScoreTable(*encoder_, *model_));
+            lazy.built.store(&*lazy.table, std::memory_order_release);
+        }
+        table = &*lazy.table;
+    }
+    return *table;
 }
 
 std::size_t
@@ -139,16 +171,15 @@ std::vector<double>
 Classifier::scores(std::span<const double> features) const
 {
     LOOKHD_CHECK(fitted(), "classifier not fitted");
-    LOOKHD_SPAN("classifier.predict", "search");
+    // No span and no margin per row: a float64 row costs about a
+    // microsecond, and a span's two clock reads or a margin record
+    // (a pass over the scores plus a locked histogram update) would be
+    // a tenth of that. Batches keep both (classifier.predict.batch and
+    // the classifier.predict margins).
     LOOKHD_COUNT_ADD("classifier.predict.calls", 1);
-    const hdc::IntHv query = encoder_->encode(features);
-    std::vector<double> out =
-        precision_ != Precision::kFloat64
-            ? quantizedScores(query)
-            : (compressed_ ? compressed_->scores(query)
-                           : model_->scores(query));
-    LOOKHD_QUALITY_MARGIN("classifier.predict", out);
-    return out;
+    return precision_ == Precision::kFloat64
+               ? scoreTable().scores(features)
+               : quantizedScores(encoder_->encode(features));
 }
 
 std::vector<double>
@@ -173,38 +204,43 @@ Classifier::scoresBatch(std::span<const std::span<const double>> rows,
     const std::size_t n = rows.size();
     const std::size_t k = compressed_ ? compressed_->numClasses()
                                       : model_->numClasses();
-    std::vector<hdc::IntHv> encoded(n);
+    // Built here, before any worker runs: only the quantized forms
+    // encode.
+    const ScoreTable *table =
+        precision_ == Precision::kFloat64 ? &scoreTable() : nullptr;
+    std::vector<hdc::IntHv> encoded(table != nullptr ? 0 : n);
     std::vector<std::vector<double>> out(n);
 
-    // Each chunk encodes its rows and scores them in one batch kernel
+    // Float64 rows read the score table one by one; the quantized
+    // forms encode a chunk of rows and score it in one batch kernel
     // call. Per-row results never depend on the chunking (the batch
     // kernels share the single-query accumulation order), so any
     // thread count returns the bits predict()/scores() would.
     const auto worker = [&](std::size_t lo, std::size_t hi) {
-        std::vector<const hdc::IntHv *> queries(hi - lo);
-        for (std::size_t i = lo; i < hi; ++i) {
-            encoded[i] = encoder_->encode(rows[i]);
-            queries[i - lo] = &encoded[i];
-        }
-        const std::vector<double> flat =
-            precision_ == Precision::kInt8
-                ? quantized_->scoresBatchI8(queries.data(),
-                                            queries.size())
-            : precision_ == Precision::kBinary
-                ? quantized_->scoresBatchBinary(queries.data(),
+        if (table != nullptr) {
+            for (std::size_t i = lo; i < hi; ++i)
+                out[i] = table->scores(rows[i]);
+        } else {
+            std::vector<const hdc::IntHv *> queries(hi - lo);
+            for (std::size_t i = lo; i < hi; ++i) {
+                encoded[i] = encoder_->encode(rows[i]);
+                queries[i - lo] = &encoded[i];
+            }
+            const std::vector<double> flat =
+                precision_ == Precision::kInt8
+                    ? quantized_->scoresBatchI8(queries.data(),
                                                 queries.size())
-            : compressed_
-                ? compressed_->scoresBatch(queries.data(),
-                                           queries.size())
-                : model_->scoresBatch(queries.data(), queries.size());
-        for (std::size_t i = lo; i < hi; ++i) {
-            out[i].assign(flat.begin() +
-                              static_cast<std::ptrdiff_t>((i - lo) * k),
-                          flat.begin() +
-                              static_cast<std::ptrdiff_t>(
-                                  (i - lo + 1) * k));
-            LOOKHD_QUALITY_MARGIN("classifier.predict", out[i]);
+                    : quantized_->scoresBatchBinary(queries.data(),
+                                                    queries.size());
+            for (std::size_t i = lo; i < hi; ++i)
+                out[i].assign(
+                    flat.begin() +
+                        static_cast<std::ptrdiff_t>((i - lo) * k),
+                    flat.begin() +
+                        static_cast<std::ptrdiff_t>((i - lo + 1) * k));
         }
+        for (std::size_t i = lo; i < hi; ++i)
+            LOOKHD_QUALITY_MARGIN("classifier.predict", out[i]);
     };
 
     const std::size_t resolved =

@@ -20,6 +20,7 @@
 #ifndef LOOKHD_LOOKHD_CLASSIFIER_HPP
 #define LOOKHD_LOOKHD_CLASSIFIER_HPP
 
+#include <atomic>
 #include <memory>
 #include <optional>
 
@@ -30,7 +31,9 @@
 #include "lookhd/counter_trainer.hpp"
 #include "lookhd/quantized_inference.hpp"
 #include "lookhd/retrainer.hpp"
+#include "lookhd/score_table.hpp"
 #include "quant/quantizer.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace lookhd {
 
@@ -126,14 +129,19 @@ class Classifier
     /** Predicted class of a raw feature vector. @pre fitted(). */
     std::size_t predict(std::span<const double> features) const;
 
-    /** Per-class scores of a raw feature vector. @pre fitted(). */
+    /**
+     * Per-class scores of a raw feature vector. At kFloat64 they come
+     * from the fused score table (score_table.hpp): the served form's
+     * scores of encode(features) up to rounding, with the same argmax
+     * wherever the top two are not within rounding of each other.
+     * The int8/binary forms score encode(features). @pre fitted().
+     */
     std::vector<double> scores(std::span<const double> features) const;
 
     /**
-     * Scores for a batch of feature rows through the batched
-     * encode + similarity kernels: out[i] == scores(rows[i]) bit for
-     * bit, for every @p threads (1 = inline, 0 = one per hardware
-     * thread). @pre fitted().
+     * Scores for a batch of feature rows: out[i] == scores(rows[i])
+     * bit for bit, for every @p threads (1 = inline, 0 = one per
+     * hardware thread). @pre fitted().
      */
     std::vector<std::vector<double>>
     scoresBatch(std::span<const std::span<const double>> rows,
@@ -206,6 +214,9 @@ class Classifier
     const CompressedModel &compressedModel() const;
 
   private:
+    /** The served float64 form's score table, built on first use. */
+    const ScoreTable &scoreTable() const;
+
     /** Quantized-path scores of one encoded query (batch of one). */
     std::vector<double>
     quantizedScores(const hdc::IntHv &query) const;
@@ -215,6 +226,21 @@ class Classifier
     std::optional<hdc::ClassModel> model_;
     std::optional<CompressedModel> compressed_;
     std::shared_ptr<const QuantizedServingModel> quantized_;
+    /**
+     * Fused float64 scores of the served form. fit() builds the table;
+     * restore() checks only its size, and the first float64 score
+     * builds it, so a loaded model served int8 or binary never pays
+     * for it (load time is a gated metric).
+     */
+    struct LazyScoreTable
+    {
+        util::Mutex mutex;
+        std::optional<ScoreTable> table LOOKHD_GUARDED_BY(mutex);
+        /** &*table once built: the lock-free fast path. */
+        std::atomic<const ScoreTable *> built{nullptr};
+    };
+    std::unique_ptr<LazyScoreTable> table_ =
+        std::make_unique<LazyScoreTable>();
     Precision precision_ = Precision::kFloat64;
     std::vector<double> retrainHistory_;
 };

@@ -58,6 +58,11 @@ Quantizer::Quantizer(std::vector<double> bounds)
     : bounds_(std::move(bounds))
 {
     LOOKHD_CHECK(!bounds_.empty(), "quantizer needs at least one boundary");
+    // A NaN boundary has no place in an order: std::is_sorted would
+    // accept {1, NaN, 0.5}, and binOf would count past it.
+    LOOKHD_CHECK(std::none_of(bounds_.begin(), bounds_.end(),
+                              [](double b) { return std::isnan(b); }),
+                 "boundaries must not be NaN");
     LOOKHD_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()),
                  "boundaries must be ascending");
 }

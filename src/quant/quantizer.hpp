@@ -17,7 +17,6 @@
 #ifndef LOOKHD_QUANT_QUANTIZER_HPP
 #define LOOKHD_QUANT_QUANTIZER_HPP
 
-#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -32,15 +31,20 @@ enum class QuantizationKind
 };
 
 /**
- * Shared binary search over sorted boundaries: number of boundaries
- * strictly below or equal, i.e. the bin index of @p value.
+ * The level of @p value under ascending boundaries: how many
+ * boundaries b satisfy !(value < b). A compare-count with no
+ * branches; for ascending NaN-free boundaries it equals
+ * std::upper_bound on every input: a value equal to a boundary
+ * counts it, +inf counts all of them and -inf none, and NaN (which
+ * compares false) lands in the top level, q-1.
  */
 inline std::size_t
 binOf(std::span<const double> bounds, double value)
 {
-    return static_cast<std::size_t>(
-        std::upper_bound(bounds.begin(), bounds.end(), value) -
-        bounds.begin());
+    std::size_t bin = 0;
+    for (const double b : bounds)
+        bin += static_cast<std::size_t>(!(value < b));
+    return bin;
 }
 
 /**
@@ -53,7 +57,7 @@ class Quantizer
   public:
     /**
      * @param bounds Ascending internal boundaries; levels() is
-     *        bounds.size() + 1. @pre at least one boundary.
+     *        bounds.size() + 1. @pre at least one boundary, none NaN.
      */
     explicit Quantizer(std::vector<double> bounds);
 

@@ -8,7 +8,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <thread>
 #include <unistd.h>
 #include <utility>
@@ -62,7 +61,7 @@ TcpStream::~TcpStream()
 
 TcpStream::TcpStream(TcpStream &&other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
-      buffer_(std::move(other.buffer_))
+      buffer_(std::move(other.buffer_)), deadline_(other.deadline_)
 {
 }
 
@@ -73,6 +72,7 @@ TcpStream::operator=(TcpStream &&other) noexcept
         close();
         fd_ = std::exchange(other.fd_, -1);
         buffer_ = std::move(other.buffer_);
+        deadline_ = other.deadline_;
     }
     return *this;
 }
@@ -120,6 +120,8 @@ TcpStream::readLine(std::string &line)
         if (scanned > kMaxLineBytes)
             throw LineTooLong("line longer than " +
                               std::to_string(kMaxLineBytes) + " bytes");
+        if (!waitReadable())
+            throw NetError("read deadline passed");
         char chunk[4096];
         const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
         if (n > 0) {
@@ -141,15 +143,34 @@ TcpStream::readLine(std::string &line)
     }
 }
 
-void
-TcpStream::setReceiveTimeout(int ms)
+bool
+TcpStream::waitReadable() const
 {
-    timeval timeout{};
-    timeout.tv_sec = ms / 1000;
-    timeout.tv_usec = (ms % 1000) * 1000;
-    if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                     sizeof(timeout)) != 0)
-        throwErrno("setsockopt SO_RCVTIMEO");
+    using Clock = std::chrono::steady_clock;
+    if (deadline_ == Clock::time_point::max())
+        return true;
+    while (true) {
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+            deadline_ - Clock::now());
+        if (left.count() <= 0)
+            return false;
+        pollfd pfd{fd_, POLLIN, 0};
+        const int ready =
+            ::poll(&pfd, 1, static_cast<int>(left.count()));
+        if (ready > 0)
+            return true;
+        if (ready == 0)
+            return false;
+        if (errno != EINTR)
+            throwErrno("poll");
+    }
+}
+
+void
+TcpStream::setReadDeadline(int ms)
+{
+    deadline_ = std::chrono::steady_clock::now() +
+                std::chrono::milliseconds(ms);
 }
 
 bool

@@ -16,6 +16,7 @@
 #ifndef LOOKHD_SERVE_NET_HPP
 #define LOOKHD_SERVE_NET_HPP
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -66,14 +67,17 @@ class TcpStream
      * along with a preceding '\r'). @return false on clean EOF with
      * nothing buffered. @throws LineTooLong once more than
      * kMaxLineBytes arrive without a '\n'; NetError on socket errors,
-     * including a receive timeout (setReceiveTimeout).
+     * including a passed read deadline (setReadDeadline).
      * A final unterminated line before EOF is returned as-is.
      */
     bool readLine(std::string &line);
 
-    /** Make each recv() give up after @p ms without data. @throws
-     * NetError. */
-    void setReceiveTimeout(int ms);
+    /**
+     * Give every later readLine() one deadline, @p ms from now: once
+     * it has passed, readLine() throws NetError even while bytes keep
+     * arriving.
+     */
+    void setReadDeadline(int ms);
 
     /** Write the whole buffer. @return false if the peer went away. */
     bool sendAll(std::string_view data);
@@ -91,8 +95,14 @@ class TcpStream
     void close();
 
   private:
+    /** Wait for input until the read deadline, if one is set.
+     * @return false once it has passed. */
+    bool waitReadable() const;
+
     int fd_ = -1;
     std::string buffer_;
+    std::chrono::steady_clock::time_point deadline_ =
+        std::chrono::steady_clock::time_point::max();
 };
 
 /** Listening TCP socket on 127.0.0.1. Move-only. */

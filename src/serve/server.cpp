@@ -24,7 +24,8 @@ namespace lookhd::serve {
 
 namespace {
 
-/** How long the scrape loop waits on a silent scrape connection. */
+/** How long a scrape connection gets to send its request line and
+ * headers, in total: one deadline, however the bytes trickle in. */
 constexpr int kScrapeReceiveTimeoutMs = 1000;
 
 /**
@@ -68,9 +69,23 @@ struct InferenceServer::Connection
      * writers re-check `open` under the mutex before touching it. */
     TcpStream stream;
     util::Mutex writeMutex;
+    /** False once a send failed or the connection was closed. */
     std::atomic<bool> open{true};
     /** Set as the reader thread's last act: it can be joined. */
     std::atomic<bool> readerDone{false};
+    /** Requests the reader enqueued that no worker has answered yet.
+     * A connection is released only once its reader is done and
+     * this is 0, so a client that half-closes still gets every
+     * answer. */
+    std::atomic<std::size_t> unanswered{0};
+
+    /** Reader done and every enqueued request answered. */
+    bool
+    finished() const
+    {
+        return readerDone.load(std::memory_order_acquire) &&
+               unanswered.load(std::memory_order_acquire) == 0;
+    }
 
     /** Send one response line in a single send(2); false once the
      * peer went away. */
@@ -427,10 +442,8 @@ InferenceServer::reapClosedConnections()
     {
         const util::MutexLock lock(connectionsMutex_);
         const auto done = std::partition(
-            readers_.begin(), readers_.end(), [](const Reader &r) {
-                return !r.conn->readerDone.load(
-                    std::memory_order_acquire);
-            });
+            readers_.begin(), readers_.end(),
+            [](const Reader &r) { return !r.conn->finished(); });
         finished.assign(std::make_move_iterator(done),
                         std::make_move_iterator(readers_.end()));
         readers_.erase(done, readers_.end());
@@ -463,9 +476,10 @@ InferenceServer::connectionLoop(std::shared_ptr<Connection> conn)
         conn->writeLine(
             errorBody(IdKind::kNone, 0.0, {}, obs::TraceId{}, e.what()));
     } catch (const NetError &) {
-        // Peer vanished mid-read; nothing to answer.
+        // Peer vanished mid-read; nothing more to read.
     }
-    conn->open.store(false, std::memory_order_relaxed);
+    // The write side stays open: requests already queued are still
+    // answered, and the acceptor releases the connection after that.
     connectionsOpen_.set(static_cast<double>(
         openConnections_.fetch_sub(1, std::memory_order_relaxed) -
         1));
@@ -555,6 +569,7 @@ InferenceServer::handleRequestLine(
             reject("overloaded", requestsOverload_);
             return;
         }
+        conn->unanswered.fetch_add(1, std::memory_order_relaxed);
         queue_.push_back(std::move(req));
         queueDepth_.set(static_cast<double>(queue_.size()));
     }
@@ -707,6 +722,7 @@ InferenceServer::processBatch(std::vector<Request> &batch,
         state.stage.store("respond", std::memory_order_relaxed);
         obs::profilerPublishStage(obs::ReqStage::kWrite);
         req.conn->writeLine(w.str());
+        req.conn->unanswered.fetch_sub(1, std::memory_order_release);
         obs::profilerPublishStage(obs::ReqStage::kSerialize);
         state.stage.store("predict", std::memory_order_relaxed);
         const std::uint64_t written =
@@ -908,8 +924,9 @@ InferenceServer::metricsLoop()
             continue;
         try {
             // Scrapes are served one at a time: a peer that connects
-            // and sends nothing must not hold up /healthz or stop().
-            stream.setReceiveTimeout(kScrapeReceiveTimeoutMs);
+            // and sends nothing, or trickles its request a byte at a
+            // time, must not hold up /healthz or stop().
+            stream.setReadDeadline(kScrapeReceiveTimeoutMs);
             std::string requestLine;
             if (!stream.readLine(requestLine))
                 continue;

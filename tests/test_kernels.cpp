@@ -403,6 +403,49 @@ TEST(Kernels, SimilarityBatchEqualsPerQueryDotsBitwise)
     }
 }
 
+TEST(Kernels, AccumulateRowsIsOneSequentialSumPerLane)
+{
+    // Lanes run across the k columns, so every Impl must reproduce
+    // the plain sequential sum of each column bit for bit, for any
+    // scales (not only the exact +-1 / +-2 of the score table) and
+    // for k on both sides of the 4- and 16-lane blocks.
+    Rng rng(717);
+    for (const std::size_t k : {1u, 3u, 4u, 5u, 12u, 16u, 19u, 26u, 37u}) {
+        for (const std::size_t count : {0u, 1u, 7u, 64u}) {
+            std::vector<std::vector<double>> rows(
+                count, std::vector<double>(k + 1));
+            std::vector<const double *> rptrs;
+            std::vector<double> scales(count);
+            for (std::size_t t = 0; t < count; ++t) {
+                for (auto &v : rows[t])
+                    v = rng.nextDouble(-1.0, 1.0);
+                // Offset by one: unaligned row pointers.
+                rptrs.push_back(rows[t].data() + 1);
+                scales[t] = rng.nextDouble(-2.0, 2.0);
+            }
+            std::vector<double> start(k);
+            for (auto &v : start)
+                v = rng.nextDouble(-1.0, 1.0);
+            std::vector<double> ref = start;
+            for (std::size_t i = 0; i < k; ++i)
+                for (std::size_t t = 0; t < count; ++t) {
+                    const double product = scales[t] * rptrs[t][i];
+                    ref[i] += product;
+                }
+            for (const kernels::Impl impl : availableImpls()) {
+                ForcedImpl forced(impl);
+                std::vector<double> acc = start;
+                kernels::accumulateRows(acc.data(), rptrs.data(),
+                                        scales.data(), count, k);
+                for (std::size_t i = 0; i < k; ++i)
+                    EXPECT_EQ(bits(acc[i]), bits(ref[i]))
+                        << kernels::implName(impl) << " k=" << k
+                        << " count=" << count << " lane " << i;
+            }
+        }
+    }
+}
+
 TEST(Kernels, HypervectorDotsAgreeWithKernels)
 {
     // The public hdc::dot overloads are thin wrappers over the

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
+#include <span>
 
 #include "data/synthetic.hpp"
 #include "lookhd/classifier.hpp"
@@ -109,6 +112,58 @@ TEST(QuantizerBank, FromBoundariesRestoresBehaviour)
         for (std::size_t i = 0; i < ds.size(); ++i)
             EXPECT_EQ(restored.levelsOf(ds.row(i)),
                       bank.levelsOf(ds.row(i)));
+    }
+}
+
+TEST(QuantizerBank, LevelsOfMatchesUpperBoundSharedAndPerFeature)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto upperBound = [](std::span<const double> b, double v) {
+        return static_cast<std::size_t>(
+            std::upper_bound(b.begin(), b.end(), v) - b.begin());
+    };
+    util::Rng rng(21);
+    const std::size_t n = 9;
+    for (const std::size_t q : {2u, 4u, 8u, 16u}) {
+        std::vector<Quantizer> perFeature;
+        for (std::size_t f = 0; f < n; ++f) {
+            std::vector<double> b(q - 1);
+            for (auto &x : b)
+                x = rng.nextDouble(-2.0, 2.0);
+            std::sort(b.begin(), b.end());
+            if (f == 0)
+                std::fill(b.begin(), b.end(), inf); // constant column
+            perFeature.emplace_back(std::move(b));
+        }
+        const QuantizerBank banks[] = {QuantizerBank(perFeature),
+                                       QuantizerBank(perFeature[3], n)};
+        for (const QuantizerBank &bank : banks) {
+            for (int trial = 0; trial < 100; ++trial) {
+                std::vector<double> row(n);
+                for (std::size_t f = 0; f < n; ++f) {
+                    const std::span<const double> b = bank.boundaries(f);
+                    switch (rng.nextBelow(6)) {
+                    case 0:
+                        row[f] = nan;
+                        break;
+                    case 1:
+                        row[f] = rng.nextBelow(2) ? inf : -inf;
+                        break;
+                    case 2: // on a boundary
+                        row[f] = b[rng.nextBelow(b.size())];
+                        break;
+                    default:
+                        row[f] = rng.nextDouble(-3.0, 3.0);
+                    }
+                }
+                const std::vector<std::size_t> levels = bank.levelsOf(row);
+                for (std::size_t f = 0; f < n; ++f)
+                    EXPECT_EQ(levels[f],
+                              upperBound(bank.boundaries(f), row[f]))
+                        << "q=" << q << " f=" << f << " v=" << row[f];
+            }
+        }
     }
 }
 

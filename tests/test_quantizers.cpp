@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "quant/quantizer.hpp"
 #include "util/rng.hpp"
@@ -156,6 +158,61 @@ TEST(Quantizer, LevelsOfVector)
     const Quantizer q = fitLinear(std::vector<double>{0.0, 1.0}, 2);
     const auto lvls = q.levelsOf(std::vector<double>{0.1, 0.9, 0.4});
     EXPECT_EQ(lvls, (std::vector<std::size_t>{0, 1, 0}));
+}
+
+TEST(Quantizer, RejectsNaNBoundaries)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    // std::is_sorted accepts both: NaN compares false both ways.
+    EXPECT_THROW(Quantizer(std::vector<double>{1.0, nan, 0.5}),
+                 lookhd::util::ContractViolation);
+    EXPECT_THROW(Quantizer(std::vector<double>{nan}),
+                 lookhd::util::ContractViolation);
+    // A fit whose boundaries land on a NaN throws the same way.
+    EXPECT_THROW(fitEqualized(std::vector<double>{nan, nan, nan}, 2),
+                 lookhd::util::ContractViolation);
+}
+
+TEST(Quantizer, BinOfMatchesUpperBound)
+{
+    // The compare-count binOf is std::upper_bound on every input for
+    // ascending NaN-free boundaries, edge values included.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto upperBound = [](std::span<const double> b, double v) {
+        return static_cast<std::size_t>(
+            std::upper_bound(b.begin(), b.end(), v) - b.begin());
+    };
+    Rng rng(99);
+    for (const std::size_t q : {2u, 4u, 8u, 16u}) {
+        std::vector<std::vector<double>> boundSets;
+        for (int trial = 0; trial < 20; ++trial) {
+            std::vector<double> b(q - 1);
+            for (auto &x : b)
+                // Few distinct values, so ties between boundaries
+                // (collapsed bins) are common.
+                x = static_cast<double>(rng.nextBelow(7)) - 3.0;
+            std::sort(b.begin(), b.end());
+            boundSets.push_back(b);
+        }
+        boundSets.push_back(std::vector<double>(q - 1, inf)); // constant
+        for (const std::vector<double> &b : boundSets) {
+            std::vector<double> values = {nan, inf, -inf, 0.0, -0.0};
+            for (const double x : b) {
+                values.push_back(x);
+                values.push_back(std::nextafter(x, -inf));
+                values.push_back(std::nextafter(x, inf));
+            }
+            for (int i = 0; i < 50; ++i)
+                values.push_back(rng.nextDouble(-4.0, 4.0));
+            for (const double v : values) {
+                EXPECT_EQ(binOf(b, v), upperBound(b, v))
+                    << "q=" << q << " v=" << v;
+                EXPECT_EQ(Quantizer(b).level(v), upperBound(b, v));
+            }
+            EXPECT_EQ(binOf(b, nan), q - 1);
+        }
+    }
 }
 
 /** Parameterized sweep over q for both fits. */

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -700,7 +701,7 @@ TEST(ServeHttp, SilentScrapeConnectionDoesNotBlock)
     {
         serve::TcpStream probe =
             serve::TcpStream::connect("127.0.0.1", server.metricsPort());
-        probe.setReceiveTimeout(3000);
+        probe.setReadDeadline(3000);
         EXPECT_TRUE(probe.sendAll("GET /healthz HTTP/1.0\r\n\r\n"));
         try {
             probe.readLine(status);
@@ -728,6 +729,63 @@ TEST(ServeHttp, SilentScrapeConnectionDoesNotBlock)
             .count();
     stopped.store(true);
     hangUp.join();
+    EXPECT_LT(stopMs, 3000) << "stop() took " << stopMs << " ms";
+}
+
+TEST(ServeHttp, TricklingScrapeConnectionDoesNotBlock)
+{
+    // A peer that trickles its request line a byte every 0.5 s for
+    // 8 s must not hold the one scrape thread: the request line and
+    // headers share one deadline. Every read here is bounded, so a
+    // server that waits on the trickle fails instead of hanging.
+    serve::ServeConfig cfg;
+    cfg.workers = 1;
+    serve::InferenceServer server(trainedClassifier(), cfg);
+    server.start();
+
+    std::atomic<bool> done{false};
+    std::thread trickler([&] {
+        serve::TcpStream peer =
+            serve::TcpStream::connect("127.0.0.1", server.metricsPort());
+        const std::string partial = "GET /healthz HTT"; // no newline
+        for (std::size_t i = 0; i < partial.size() && !done.load();
+             ++i) {
+            if (!peer.sendAll(partial.substr(i, 1)))
+                break;
+            std::this_thread::sleep_for(std::chrono::milliseconds(500));
+        }
+    });
+    // Let the scrape loop take the trickler before the probe queues.
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+    std::string status = "healthz unanswered";
+    const auto probeStart = std::chrono::steady_clock::now();
+    {
+        serve::TcpStream probe =
+            serve::TcpStream::connect("127.0.0.1", server.metricsPort());
+        probe.setReadDeadline(3000);
+        EXPECT_TRUE(probe.sendAll("GET /healthz HTTP/1.0\r\n\r\n"));
+        try {
+            probe.readLine(status);
+        } catch (const serve::NetError &) {
+            // Timed out: status keeps saying so.
+        }
+    }
+    const auto probeMs =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - probeStart)
+            .count();
+    EXPECT_NE(status.find("200"), std::string::npos) << status;
+    EXPECT_LT(probeMs, 3000) << "/healthz took " << probeMs << " ms";
+
+    const auto stopStart = std::chrono::steady_clock::now();
+    server.stop();
+    const auto stopMs =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - stopStart)
+            .count();
+    done.store(true);
+    trickler.join();
     EXPECT_LT(stopMs, 3000) << "stop() took " << stopMs << " ms";
 }
 
@@ -1097,6 +1155,131 @@ TEST(ServeLifecycle, ClosedConnectionsReleaseTheirSockets)
     server.stop();
 }
 
+/** @p count held-out rows of the 12-feature problem the test
+ * classifier was trained on, as request lines with ids 0.. */
+std::vector<std::string>
+probeLines(std::size_t count, data::Dataset &probes)
+{
+    data::SyntheticSpec spec;
+    spec.numFeatures = 12;
+    spec.numClasses = 3;
+    spec.seed = 5;
+    probes = data::SyntheticProblem(spec).sample(count);
+    std::vector<std::string> lines;
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+        const auto row = probes.row(i);
+        lines.push_back(
+            requestLine(i, std::vector<double>(row.begin(), row.end())) +
+            "\n");
+    }
+    return lines;
+}
+
+/** Read answers until EOF (or for at most 10 s); how many carried
+ * the prediction @p reference makes for their probe. */
+std::size_t
+correctAnswersUntilEof(serve::TcpStream &stream,
+                       const Classifier &reference,
+                       const data::Dataset &probes)
+{
+    stream.setReadDeadline(10000);
+    std::size_t correct = 0;
+    std::string line;
+    try {
+        while (stream.readLine(line)) {
+            std::string error;
+            const auto doc = serve::parseJson(line, error);
+            if (doc == nullptr)
+                continue;
+            const serve::JsonValue *id = doc->find("id");
+            const serve::JsonValue *pred = doc->find("pred");
+            if (id == nullptr || pred == nullptr)
+                continue;
+            const auto probe = static_cast<std::size_t>(id->number);
+            correct += probe < probes.size() &&
+                       static_cast<std::size_t>(pred->number) ==
+                           reference.predict(probes.row(probe));
+        }
+    } catch (const serve::NetError &) {
+        // Deadline: whatever arrived is the count.
+    }
+    return correct;
+}
+
+TEST(ServeLifecycle, HalfClosedClientGetsEveryAnswer)
+{
+    // A client may pipeline its requests, half-close (SHUT_WR) and
+    // then read: the server's reader sees EOF long before the
+    // workers are through, and every queued answer must still go
+    // out before the connection closes.
+    serve::ServeConfig cfg;
+    cfg.workers = 1;
+    serve::InferenceServer server(trainedClassifier(), cfg);
+    server.start();
+    const Classifier reference = trainedClassifier();
+    data::Dataset probes(12, 3);
+    std::string pipelined;
+    for (const std::string &line : probeLines(200, probes))
+        pipelined += line;
+
+    serve::TcpStream stream =
+        serve::TcpStream::connect("127.0.0.1", server.port());
+    ASSERT_TRUE(stream.sendAll(pipelined));
+    ASSERT_EQ(::shutdown(stream.fd(), SHUT_WR), 0);
+    EXPECT_EQ(correctAnswersUntilEof(stream, reference, probes), 200u);
+    server.stop();
+}
+
+TEST(ServeLifecycle, StopAnswersEveryQueuedRequest)
+{
+    // stop() shuts every reader's read side, then lets the workers
+    // drain: requests already queued are answered, not dropped.
+    std::atomic<bool> held{false};
+    std::atomic<bool> release{false};
+    serve::ServeConfig cfg;
+    cfg.workers = 1;
+    cfg.batchMaxSize = 1;
+    // The first batch holds the worker until released (bounded, so a
+    // failed assertion cannot hang stop()).
+    cfg.batchHook = [&held, &release](std::size_t) {
+        if (held.exchange(true))
+            return;
+        for (int i = 0; i < 5000 && !release.load(); ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    serve::InferenceServer server(trainedClassifier(), cfg);
+    server.start();
+    const Classifier reference = trainedClassifier();
+    data::Dataset probes(12, 3);
+    const std::vector<std::string> lines = probeLines(20, probes);
+
+    serve::TcpStream stream =
+        serve::TcpStream::connect("127.0.0.1", server.port());
+    ASSERT_TRUE(stream.sendAll(lines[0]));
+    for (int i = 0; i < 500 && !held.load(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_TRUE(held.load());
+    std::string rest;
+    for (std::size_t i = 1; i < lines.size(); ++i)
+        rest += lines[i];
+    ASSERT_TRUE(stream.sendAll(rest));
+    obs::MetricRegistry &registry = obs::MetricRegistry::global();
+    obs::Gauge &depth = registry.gauge("serve.queue.depth");
+    for (int i = 0; i < 500 && depth.value() != 19.0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_EQ(depth.value(), 19.0);
+
+    std::thread stopper([&server] { server.stop(); });
+    // Release the worker only once stop() has shut the reader down.
+    obs::Gauge &open = registry.gauge("serve.connections.open");
+    for (int i = 0; i < 500 && open.value() != 0.0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_EQ(open.value(), 0.0);
+    release.store(true);
+    stopper.join();
+    EXPECT_EQ(correctAnswersUntilEof(stream, reference, probes), 20u);
+}
+
 /** utime + stime of process @p pid in seconds (/proc/<pid>/stat). */
 double
 processCpuSeconds(pid_t pid)
@@ -1202,7 +1385,7 @@ TEST(ServeLifecycle, OverlongRequestLineClosesTheConnection)
     {
         serve::TcpStream stream =
             serve::TcpStream::connect("127.0.0.1", server.port());
-        stream.setReceiveTimeout(3000);
+        stream.setReadDeadline(3000);
         // The server may hang up mid-send; only the hangup matters.
         stream.sendAll(std::string(std::size_t{2} << 20, 'x'));
         bool closed = false;
