@@ -261,45 +261,93 @@ matchCountWordsAvx2(const std::uint64_t *a, const std::uint64_t *b,
     return static_cast<std::size_t>(matches);
 }
 
+/**
+ * One register tile of similarityBatch: QN queries against RN rows,
+ * out[j * numRows + r] for the pair (queries[j], rows[r]). Each
+ * pair keeps its own accumulator and runs dotIntRealAvx2's op
+ * sequence (mul, then add, per 4-lane step; the same reduction and
+ * tail), so the tile decides only which loads are shared: a query's
+ * four int32 are converted once per step for all RN rows, and a row's
+ * four doubles are loaded once for all QN queries. The QN * RN
+ * accumulators stay in registers (2 x 4 uses 14 of the 16).
+ */
+template <std::size_t QN, std::size_t RN>
+void
+similarityTile(const std::int32_t *const *queries,
+               const double *const *rows, std::size_t numRows,
+               std::size_t n, double *out)
+{
+    __m256d acc[QN][RN];
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < QN; ++j)
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < RN; ++r)
+            acc[j][r] = _mm256_setzero_pd();
+    const std::size_t n4 = n & ~std::size_t{3};
+    for (std::size_t i = 0; i < n4; i += 4) {
+        __m256d q[QN];
+#pragma GCC unroll 8
+        for (std::size_t j = 0; j < QN; ++j)
+            q[j] = loadInt4AsDouble(queries[j] + i);
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < RN; ++r) {
+            const __m256d w = _mm256_loadu_pd(rows[r] + i);
+#pragma GCC unroll 8
+            for (std::size_t j = 0; j < QN; ++j)
+                acc[j][r] =
+                    _mm256_add_pd(acc[j][r], _mm256_mul_pd(q[j], w));
+        }
+    }
+    for (std::size_t j = 0; j < QN; ++j) {
+        for (std::size_t r = 0; r < RN; ++r) {
+            double sum = reduceLanes(acc[j][r]);
+            for (std::size_t i = n4; i < n; ++i)
+                sum += static_cast<double>(queries[j][i]) * rows[r][i];
+            out[j * numRows + r] = sum;
+        }
+    }
+}
+
+/** QN queries against every row: 4-row tiles, then the 1-3 left. */
+template <std::size_t QN>
+void
+similarityRows(const std::int32_t *const *queries,
+               const double *const *rows, std::size_t numRows,
+               std::size_t n, double *out)
+{
+    std::size_t r = 0;
+    for (; r + 4 <= numRows; r += 4)
+        similarityTile<QN, 4>(queries, rows + r, numRows, n, out + r);
+    switch (numRows - r) {
+    case 3:
+        similarityTile<QN, 3>(queries, rows + r, numRows, n, out + r);
+        break;
+    case 2:
+        similarityTile<QN, 2>(queries, rows + r, numRows, n, out + r);
+        break;
+    case 1:
+        similarityTile<QN, 1>(queries, rows + r, numRows, n, out + r);
+        break;
+    default:
+        break;
+    }
+}
+
 void
 similarityBatchAvx2(const std::int32_t *const *queries,
                     std::size_t numQueries,
                     const double *const *rows, std::size_t numRows,
                     std::size_t n, double *out)
 {
-    // Block four queries per class-row pass: each row streams from
-    // memory once per block while four accumulators live in
-    // registers. Per (query, row) pair the operation sequence is
-    // identical to dotIntRealAvx2, so results match the single-query
-    // kernel bit for bit.
-    constexpr std::size_t kBlock = 4;
-    const std::size_t n4 = n & ~std::size_t{3};
-    for (std::size_t qb = 0; qb < numQueries; qb += kBlock) {
-        const std::size_t qn = std::min(kBlock, numQueries - qb);
-        for (std::size_t r = 0; r < numRows; ++r) {
-            const double *row = rows[r];
-            __m256d acc[kBlock] = {
-                _mm256_setzero_pd(), _mm256_setzero_pd(),
-                _mm256_setzero_pd(), _mm256_setzero_pd()};
-            for (std::size_t i = 0; i < n4; i += 4) {
-                const __m256d rd = _mm256_loadu_pd(row + i);
-                for (std::size_t j = 0; j < qn; ++j) {
-                    acc[j] = _mm256_add_pd(
-                        acc[j],
-                        _mm256_mul_pd(
-                            loadInt4AsDouble(queries[qb + j] + i),
-                            rd));
-                }
-            }
-            for (std::size_t j = 0; j < qn; ++j) {
-                double sum = reduceLanes(acc[j]);
-                const std::int32_t *q = queries[qb + j];
-                for (std::size_t i = n4; i < n; ++i)
-                    sum += static_cast<double>(q[i]) * row[i];
-                out[(qb + j) * numRows + r] = sum;
-            }
-        }
-    }
+    // Query pairs outermost: the pair stays in L1 while the rows
+    // stream past it, and the rows of a class model fit in L2.
+    std::size_t q = 0;
+    for (; q + 2 <= numQueries; q += 2)
+        similarityRows<2>(queries + q, rows, numRows, n,
+                          out + q * numRows);
+    if (q < numQueries)
+        similarityRows<1>(queries + q, rows, numRows, n,
+                          out + q * numRows);
 }
 
 void

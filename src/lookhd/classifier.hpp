@@ -141,7 +141,9 @@ class Classifier
     /**
      * Scores for a batch of feature rows: out[i] == scores(rows[i])
      * bit for bit, for every @p threads (1 = inline, 0 = one per
-     * hardware thread). @pre fitted().
+     * hardware thread). @p threads is an upper bound: a batch too
+     * small to pay for a thread's start-up runs on fewer, down to
+     * inline. @pre fitted().
      */
     std::vector<std::vector<double>>
     scoresBatch(std::span<const std::span<const double>> rows,

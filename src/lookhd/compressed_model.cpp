@@ -1,5 +1,6 @@
 #include "lookhd/compressed_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "obs/obs.hpp"
@@ -138,17 +139,6 @@ CompressedModel::groupOf(std::size_t cls) const
     return cls / groupSize_;
 }
 
-double
-CompressedModel::rawScore(std::size_t cls, const hdc::IntHv &query) const
-{
-    const hdc::RealHv &group = groups_[cls / groupSize_];
-    const hdc::BipolarHv &key = keys_.at(cls);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < dim_; ++i)
-        sum += static_cast<double>(query[i]) * key[i] * group[i];
-    return sum;
-}
-
 void
 CompressedModel::scoresInto(const hdc::IntHv &query, std::size_t dims,
                             hdc::RealHv &product, double *out) const
@@ -183,6 +173,47 @@ CompressedModel::scores(const hdc::IntHv &query) const
     return out;
 }
 
+void
+CompressedModel::unbindRows(BatchScratch &scratch) const
+{
+    const std::size_t k = numClasses();
+    scratch.rows.resize(k * dim_);
+    scratch.rowPtrs.resize(k);
+    for (std::size_t c = 0; c < k; ++c) {
+        const double *group = groups_[c / groupSize_].data();
+        const std::int8_t *key = keys_.at(c).data();
+        double *row = scratch.rows.data() + c * dim_;
+        // key[e] is +-1: each element is +-group[e], exactly.
+        for (std::size_t e = 0; e < dim_; ++e)
+            row[e] = static_cast<double>(key[e]) * group[e];
+        scratch.rowPtrs[c] = row;
+    }
+}
+
+void
+CompressedModel::scoreTile(const hdc::IntHv *const *queries,
+                           std::size_t numQueries,
+                           const BatchScratch &scratch,
+                           double *out) const
+{
+    const std::size_t k = numClasses();
+    const std::int32_t *ints[kBatchTile] = {};
+    for (std::size_t q = 0; q < numQueries; ++q) {
+        LOOKHD_CHECK(queries[q]->size() == dim_,
+                     "query dimensionality mismatch");
+        ints[q] = queries[q]->data();
+    }
+    hdc::kernels::similarityBatch(ints, numQueries,
+                                  scratch.rowPtrs.data(), k, dim_, out);
+    if (!config_.scaleScores)
+        return;
+    // The same division scoresInto() applies.
+    for (std::size_t q = 0; q < numQueries; ++q)
+        for (std::size_t c = 0; c < k; ++c)
+            if (norms_[c] > 0.0)
+                out[q * k + c] /= norms_[c];
+}
+
 std::vector<double>
 CompressedModel::scoresBatch(const hdc::IntHv *const *queries,
                              std::size_t numQueries) const
@@ -190,14 +221,11 @@ CompressedModel::scoresBatch(const hdc::IntHv *const *queries,
     LOOKHD_SPAN("lookhd.search.batch", "search");
     const std::size_t k = numClasses();
     std::vector<double> out(numQueries * k);
-    hdc::RealHv product(dim_);
-    for (std::size_t q = 0; q < numQueries; ++q) {
-        LOOKHD_CHECK(queries[q]->size() == dim_,
-                     "query dimensionality mismatch");
-        // Per query this is exactly scores(): identical kernel calls
-        // in identical order, so batch == single bit for bit.
-        scoresInto(*queries[q], dim_, product, out.data() + q * k);
-    }
+    BatchScratch scratch;
+    unbindRows(scratch);
+    for (std::size_t lo = 0; lo < numQueries; lo += kBatchTile)
+        scoreTile(queries + lo, std::min(kBatchTile, numQueries - lo),
+                  scratch, out.data() + lo * k);
     return out;
 }
 
@@ -211,19 +239,36 @@ std::vector<std::size_t>
 CompressedModel::predictBatch(const hdc::IntHv *const *queries,
                               std::size_t numQueries) const
 {
-    const std::vector<double> all = scoresBatch(queries, numQueries);
-    const std::size_t k = numClasses();
+    BatchScratch scratch;
     std::vector<std::size_t> labels(numQueries);
-    for (std::size_t q = 0; q < numQueries; ++q) {
-        const double *row = all.data() + q * k;
-        std::size_t best = 0;
-        for (std::size_t c = 1; c < k; ++c) {
-            if (row[c] > row[best])
-                best = c;
-        }
-        labels[q] = best;
-    }
+    predictBatch(queries, numQueries, scratch, labels.data());
     return labels;
+}
+
+void
+CompressedModel::predictBatch(const hdc::IntHv *const *queries,
+                              std::size_t numQueries,
+                              BatchScratch &scratch,
+                              std::size_t *labels) const
+{
+    LOOKHD_SPAN("lookhd.search.batch", "search");
+    const std::size_t k = numClasses();
+    unbindRows(scratch);
+    scratch.scores.resize(kBatchTile * k);
+    for (std::size_t lo = 0; lo < numQueries; lo += kBatchTile) {
+        const std::size_t n = std::min(kBatchTile, numQueries - lo);
+        scoreTile(queries + lo, n, scratch, scratch.scores.data());
+        for (std::size_t q = 0; q < n; ++q) {
+            // The first maximum, as hdc::argmax picks it.
+            const double *row = scratch.scores.data() + q * k;
+            std::size_t best = 0;
+            for (std::size_t c = 1; c < k; ++c) {
+                if (row[c] > row[best])
+                    best = c;
+            }
+            labels[lo + q] = best;
+        }
+    }
 }
 
 std::vector<double>
@@ -294,24 +339,46 @@ CompressedModel::applyUpdate(std::size_t correct, std::size_t wrong,
     if (correct == wrong)
         return;
 
-    // Recover the current signals before the update mutates the
-    // groups; they feed the norm-estimate refresh below.
-    const double s_correct = rawScore(correct, query);
-    const double s_wrong = rawScore(wrong, query);
-
-    const hdc::RealHv u = updateVector(query);
-    double u_norm2 = 0.0;
-    for (double v : u)
-        u_norm2 += v * v;
-
     hdc::RealHv &g_correct = groups_[correct / groupSize_];
     hdc::RealHv &g_wrong = groups_[wrong / groupSize_];
     const hdc::BipolarHv &k_correct = keys_.at(correct);
     const hdc::BipolarHv &k_wrong = keys_.at(wrong);
+    const bool project = !commonDir_.empty();
+
+    // Two passes over D. Each sum below keeps its own per-element
+    // expression and sequential order, so sharing a loop changes no
+    // bit; independent sums in one loop overlap their add latencies.
+    //
+    // Pass 1, before the groups change: the recovered signals of both
+    // classes (for the norm refresh) and the query's projection on
+    // the common direction (for u).
+    double s_correct = 0.0;
+    double s_wrong = 0.0;
+    double proj = 0.0;
     for (std::size_t i = 0; i < dim_; ++i) {
-        const double delta = scale * u[i];
+        const double h = static_cast<double>(query[i]);
+        s_correct += h * k_correct[i] * g_correct[i];
+        s_wrong += h * k_wrong[i] * g_wrong[i];
+        if (project)
+            proj += h * commonDir_[i];
+    }
+
+    // Pass 2: u, its squared norm, and the group (and reference)
+    // updates. The two groups may be one; per element, correct is
+    // updated before wrong.
+    double u_norm2 = 0.0;
+    for (std::size_t i = 0; i < dim_; ++i) {
+        double u = static_cast<double>(query[i]);
+        if (project)
+            u -= proj * commonDir_[i];
+        u_norm2 += u * u;
+        const double delta = scale * u;
         g_correct[i] += k_correct[i] * delta;
         g_wrong[i] -= k_wrong[i] * delta;
+        if (config_.keepReference) {
+            reference_[correct][i] += delta;
+            reference_[wrong][i] -= delta;
+        }
     }
 
     // ||C +- s*u||^2 = ||C||^2 +- 2 s <C,u> + s^2 ||u||^2. The stored
@@ -325,28 +392,6 @@ CompressedModel::applyUpdate(std::size_t correct, std::size_t wrong,
     };
     refresh(correct, s_correct, +1.0);
     refresh(wrong, s_wrong, -1.0);
-
-    if (config_.keepReference) {
-        for (std::size_t i = 0; i < dim_; ++i) {
-            const double delta = scale * u[i];
-            reference_[correct][i] += delta;
-            reference_[wrong][i] -= delta;
-        }
-    }
-}
-
-hdc::RealHv
-CompressedModel::updateVector(const hdc::IntHv &query) const
-{
-    hdc::RealHv u = hdc::toReal(query);
-    if (!commonDir_.empty()) {
-        double proj = 0.0;
-        for (std::size_t i = 0; i < dim_; ++i)
-            proj += u[i] * commonDir_[i];
-        for (std::size_t i = 0; i < dim_; ++i)
-            u[i] -= proj * commonDir_[i];
-    }
-    return u;
 }
 
 std::size_t

@@ -125,10 +125,30 @@ class CompressedModel
     std::vector<double> scores(const hdc::IntHv &query) const;
 
     /**
+     * Buffers of the batch path: the unbound class rows
+     * W_i = P'_i * C_g(i) (numClasses() x dim()) and one tile of
+     * scores. Every batch call refills them from the model as it
+     * stands; a caller scoring many batches (a retraining run) keeps
+     * one and allocates once.
+     */
+    struct BatchScratch
+    {
+        std::vector<double> rows;
+        std::vector<const double *> rowPtrs;
+        std::vector<double> scores;
+    };
+
+    /**
      * Recovered scores for a batch of queries, out[q * numClasses()
-     * + c]; bit-identical to per-query scores() (same kernel calls in
-     * the same order), with the group-product scratch reused across
-     * the batch.
+     * + c], bit-identical to per-query scores(). scores() multiplies
+     * H by the group and then signs each product with the key; the
+     * batch path signs the group first (W_i[e] = P'_i[e] * C[e] =
+     * +-C[e], exact) and scores every query against every W_i in
+     * one kernels::similarityBatch call. IEEE multiplication is
+     * symmetric under sign, so double(H[e]) * W_i[e] equals
+     * (double(H[e]) * C[e]) * P'_i[e] lane for lane, and
+     * dotIntReal and dotRealI8 share one 4-lane accumulation order:
+     * every score, and so every argmax, matches.
      */
     std::vector<double> scoresBatch(const hdc::IntHv *const *queries,
                                     std::size_t numQueries) const;
@@ -140,6 +160,11 @@ class CompressedModel
     std::vector<std::size_t>
     predictBatch(const hdc::IntHv *const *queries,
                  std::size_t numQueries) const;
+
+    /** predictBatch() into labels[numQueries], reusing @p scratch. */
+    void predictBatch(const hdc::IntHv *const *queries,
+                      std::size_t numQueries, BatchScratch &scratch,
+                      std::size_t *labels) const;
 
     /**
      * Scores computed over only the first @p dims dimensions. Because
@@ -175,10 +200,13 @@ class CompressedModel
 
     /**
      * Compressed-domain perceptron update (Sec. IV-D):
-     *   C_g(correct) += scale * P'_correct * H
-     *   C_g(wrong)   -= scale * P'_wrong   * H
+     *   C_g(correct) += scale * P'_correct * u
+     *   C_g(wrong)   -= scale * P'_wrong   * u
      * and refresh the norm estimates of both classes from the signal
-     * recovered before the update.
+     * recovered before the update. u is the query minus its
+     * projection on the common direction when the model was
+     * decorrelated (otherwise updates would re-inject the very
+     * component decorrelation removed), else the query itself.
      */
     void applyUpdate(std::size_t correct, std::size_t wrong,
                      const hdc::IntHv &query, double scale);
@@ -206,8 +234,8 @@ class CompressedModel
     const hdc::RealHv &commonDirection() const { return commonDir_; }
 
   private:
-    /** Score of a single class (no norm scaling). */
-    double rawScore(std::size_t cls, const hdc::IntHv &query) const;
+    /** Queries scored per similarityBatch call of the batch path. */
+    static constexpr std::size_t kBatchTile = 64;
 
     /**
      * Kernel-backed score computation over the first @p dims
@@ -217,13 +245,16 @@ class CompressedModel
     void scoresInto(const hdc::IntHv &query, std::size_t dims,
                     hdc::RealHv &product, double *out) const;
 
+    /** Fill @p scratch's unbound rows from the current groups. */
+    void unbindRows(BatchScratch &scratch) const;
+
     /**
-     * The update vector actually folded into the model for a query:
-     * the raw query, minus its projection on the common direction
-     * when the model was decorrelated (otherwise updates would
-     * re-inject the very component decorrelation removed).
+     * Scores of up to kBatchTile queries against the rows of
+     * unbindRows(), into out[numQueries * numClasses()].
      */
-    hdc::RealHv updateVector(const hdc::IntHv &query) const;
+    void scoreTile(const hdc::IntHv *const *queries,
+                   std::size_t numQueries, const BatchScratch &scratch,
+                   double *out) const;
 
     hdc::Dim dim_;
     CompressionConfig config_;

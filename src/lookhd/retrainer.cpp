@@ -1,5 +1,7 @@
 #include "lookhd/retrainer.hpp"
 
+#include <optional>
+
 #include "obs/obs.hpp"
 #include "util/check.hpp"
 
@@ -34,8 +36,6 @@ Retrainer::retrainEncoded(CompressedModel &model,
 
     LOOKHD_SPAN("lookhd.retrain", "retrain");
     RetrainResult result;
-    result.accuracyHistory.push_back(
-        evaluateCompressed(model, encoded, labels));
 
     // Optional held-out validation split for early stopping.
     std::vector<std::size_t> update_idx(encoded.size());
@@ -56,29 +56,60 @@ Retrainer::retrainEncoded(CompressedModel &model,
         LOOKHD_CHECK(!update_idx.empty(),
                      "validation split leaves no training points");
     }
-    auto validation_accuracy = [&](const CompressedModel &m) {
-        std::size_t ok = 0;
-        for (std::size_t i : val_idx)
-            ok += m.predict(encoded[i]) == labels[i];
-        return val_idx.empty()
-                   ? 0.0
-                   : static_cast<double>(ok) /
-                         static_cast<double>(val_idx.size());
-    };
 
-    double best_val = -1.0;
+    // One scoring pass per model, all rows in one batch: preds[i] is
+    // row i's label under the model as it stands. That one pass gives
+    // the model's training accuracy, its validation accuracy and,
+    // under deferredSwap, the next epoch's oracle: the epoch's
+    // similarity checks read the frozen model the pass just scored.
+    // The batch labels are predict()'s bit for bit (see
+    // CompressedModel::scoresBatch), so the loop below is the per-row
+    // perceptron. The buffers live for the whole run.
+    std::vector<const hdc::IntHv *> queries(encoded.size());
+    for (std::size_t i = 0; i < encoded.size(); ++i)
+        queries[i] = &encoded[i];
+    CompressedModel::BatchScratch scratch;
+    std::vector<std::size_t> preds(encoded.size());
+    const auto score_pass = [&] {
+        model.predictBatch(queries.data(), queries.size(), scratch,
+                           preds.data());
+        std::size_t ok = 0;
+        for (std::size_t i = 0; i < preds.size(); ++i)
+            ok += preds[i] == labels[i];
+        result.accuracyHistory.push_back(
+            static_cast<double>(ok) / static_cast<double>(preds.size()));
+        if (val_idx.empty())
+            return;
+        std::size_t val_ok = 0;
+        for (std::size_t i : val_idx)
+            val_ok += preds[i] == labels[i];
+        result.validationHistory.push_back(
+            static_cast<double>(val_ok) /
+            static_cast<double>(val_idx.size()));
+    };
+    score_pass();
+
+    // The unretrained model is epoch 0 of the selection: when no
+    // epoch beats its validation accuracy, it is what comes back.
+    std::optional<CompressedModel> best_model;
+    double best_val = 0.0;
+    if (!val_idx.empty()) {
+        best_val = result.validationHistory.back();
+        best_model = model;
+    }
     std::size_t stale = 0;
-    CompressedModel best_model = model;
 
     for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
         LOOKHD_SPAN("lookhd.retrain.epoch", "retrain");
         // The hardware applies updates to a copy while the original
-        // keeps serving similarity checks (Sec. V-C).
+        // keeps serving similarity checks (Sec. V-C). Without the
+        // deferred swap every check reads the copy as it changes.
         CompressedModel working = model;
-        CompressedModel &oracle = options.deferredSwap ? model : working;
 
         for (std::size_t i : update_idx) {
-            const std::size_t pred = oracle.predict(encoded[i]);
+            const std::size_t pred = options.deferredSwap
+                                         ? preds[i]
+                                         : working.predict(encoded[i]);
             if (pred == labels[i])
                 continue;
             double scale = options.learningRate;
@@ -92,12 +123,10 @@ Retrainer::retrainEncoded(CompressedModel &model,
         }
         model = std::move(working);
         ++result.epochsRun;
-        result.accuracyHistory.push_back(
-            evaluateCompressed(model, encoded, labels));
+        score_pass();
 
         if (!val_idx.empty()) {
-            const double val = validation_accuracy(model);
-            result.validationHistory.push_back(val);
+            const double val = result.validationHistory.back();
             if (val > best_val) {
                 best_val = val;
                 best_model = model;
@@ -108,8 +137,8 @@ Retrainer::retrainEncoded(CompressedModel &model,
             }
         }
     }
-    if (!val_idx.empty())
-        model = std::move(best_model);
+    if (best_model)
+        model = std::move(*best_model);
     return result;
 }
 
@@ -124,19 +153,6 @@ Retrainer::evaluate(const CompressedModel &model,
         correct += model.predict(query) == test.label(i);
     }
     return static_cast<double>(correct) / static_cast<double>(test.size());
-}
-
-double
-evaluateCompressed(const CompressedModel &model,
-                   const std::vector<hdc::IntHv> &encoded,
-                   const std::vector<std::size_t> &labels)
-{
-    LOOKHD_CHECK(!encoded.empty(), "empty evaluation set");
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < encoded.size(); ++i)
-        correct += model.predict(encoded[i]) == labels[i];
-    return static_cast<double>(correct) /
-           static_cast<double>(encoded.size());
 }
 
 } // namespace lookhd

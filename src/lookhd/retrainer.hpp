@@ -11,7 +11,10 @@
  *
  * Following the hardware (Sec. V-C), updates land on a copy of the
  * compressed model while the original serves lookups for the rest of
- * the epoch; the copy is swapped in at the epoch boundary.
+ * the epoch; the copy is swapped in at the epoch boundary. The
+ * similarity checks of an epoch therefore read the model the previous
+ * epoch's accuracy pass just scored, so each epoch scores the training
+ * set once, as one batch (CompressedModel::predictBatch).
  */
 
 #ifndef LOOKHD_LOOKHD_RETRAINER_HPP
@@ -51,7 +54,11 @@ struct RetrainOptions
      * set and stop early once validation accuracy stops improving
      * (paper Sec. II-B: retraining continues "until the HDC accuracy
      * stabilized over the validation data, which is a part of the
-     * training dataset"). 0 disables early stopping.
+     * training dataset"). The model left behind is the first one with
+     * the best validation accuracy among epochs 0 (the model as
+     * passed in) to epochsRun, so retraining that only loses
+     * validation accuracy returns the model unchanged. 0 disables
+     * validation and early stopping.
      */
     double validationFraction = 0.0;
 
@@ -67,7 +74,11 @@ struct RetrainResult
 {
     /** Training accuracy before retraining and after each epoch. */
     std::vector<double> accuracyHistory;
-    /** Validation accuracy per epoch (empty unless early stopping). */
+    /**
+     * Validation accuracy before retraining and after each epoch,
+     * indexed like accuracyHistory (empty when validationFraction is
+     * 0).
+     */
     std::vector<double> validationHistory;
     /** Total mispredictions corrected. */
     std::size_t updates = 0;
@@ -105,11 +116,6 @@ class Retrainer
   private:
     const LookupEncoder &encoder_;
 };
-
-/** Accuracy of a compressed model on pre-encoded queries. */
-double evaluateCompressed(const CompressedModel &model,
-                          const std::vector<hdc::IntHv> &encoded,
-                          const std::vector<std::size_t> &labels);
 
 } // namespace lookhd
 

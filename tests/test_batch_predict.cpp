@@ -79,7 +79,9 @@ TEST_P(BatchPredict, BatchScoresEqualSingleSampleScoresBitwise)
 
 TEST_P(BatchPredict, ThreadCountNeverChangesScores)
 {
-    auto [train, test] = data::makeTrainTest(spec4(33), 300, 60);
+    // Batches too small to pay for a thread run inline; 4,000 float64
+    // rows of this shape are work enough for several threads.
+    auto [train, test] = data::makeTrainTest(spec4(33), 300, 4000);
     Classifier clf(smallConfig(GetParam()));
     clf.fit(train);
 

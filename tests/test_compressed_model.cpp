@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "hdc/kernels.hpp"
 #include "hdc/similarity.hpp"
 #include "lookhd/compressed_model.hpp"
 #include "util/stats.hpp"
@@ -288,6 +290,166 @@ TEST(CompressedModelTest, SameClassUpdateIsNoop)
     const IntHv query = randomQuery(500, qrng);
     compressed.applyUpdate(2, 2, query, 1.0);
     EXPECT_EQ(compressed.scores(query), before.scores(query));
+}
+
+/** Bit equality of two doubles (distinguishes -0.0 from +0.0). */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(CompressedModelTest, BatchScoresEqualPerQueryScoresBitwise)
+{
+    // D = 1001 leaves a 4-lane tail; 131 queries span three batch
+    // tiles, the last one odd.
+    const Dim dim = 1001;
+    const ClassModel model = syntheticModel(dim, 7, 0.4, 81);
+    CompressionConfig grouped;
+    grouped.maxClassesPerGroup = 3;
+    grouped.scaleScores = true;
+    CompressionConfig plain;
+    plain.decorrelate = false;
+    util::Rng qrng(83);
+    std::vector<IntHv> queries;
+    for (int i = 0; i < 131; ++i)
+        queries.push_back(randomQuery(dim, qrng));
+    std::vector<const IntHv *> ptrs;
+    for (const IntHv &q : queries)
+        ptrs.push_back(&q);
+
+    for (const CompressionConfig &cfg :
+         {CompressionConfig{}, grouped, plain}) {
+        util::Rng rng(85);
+        CompressedModel compressed(model, rng, cfg);
+        CompressedModel::BatchScratch scratch;
+        for (const kernels::Impl impl :
+             {kernels::Impl::kScalar, kernels::Impl::kAvx2,
+              kernels::Impl::kAvx512, kernels::Impl::kNeon}) {
+            if (!kernels::implAvailable(impl))
+                continue;
+            kernels::forceImpl(impl);
+            // Twice: once as built, once after an update, reusing
+            // the scratch, so stale unbound rows would show.
+            for (int round = 0; round < 2; ++round) {
+                const std::vector<double> batch =
+                    compressed.scoresBatch(ptrs.data(), ptrs.size());
+                std::vector<std::size_t> labels(ptrs.size());
+                compressed.predictBatch(ptrs.data(), ptrs.size(),
+                                        scratch, labels.data());
+                for (std::size_t q = 0; q < queries.size(); ++q) {
+                    const std::vector<double> single =
+                        compressed.scores(queries[q]);
+                    for (std::size_t c = 0; c < single.size(); ++c)
+                        EXPECT_TRUE(sameBits(
+                            batch[q * single.size() + c], single[c]))
+                            << kernels::implName(impl) << " round "
+                            << round << " query " << q << " class "
+                            << c;
+                    EXPECT_EQ(labels[q], compressed.predict(queries[q]))
+                        << kernels::implName(impl) << " query " << q;
+                }
+                compressed.applyUpdate(1, 5, queries[0], 0.75);
+            }
+        }
+        kernels::clearForcedImpl();
+    }
+}
+
+/**
+ * applyUpdate() as separate passes, one per sum: the two recovered
+ * signals, the projection on the common direction, |u|^2, then the
+ * group updates and the norm refresh. Writes the updated groups and
+ * norms of @p m into @p groups and @p norms.
+ */
+void
+separatePassUpdate(const CompressedModel &m, std::size_t correct,
+                   std::size_t wrong, const IntHv &query, double scale,
+                   std::vector<RealHv> &groups, std::vector<double> &norms)
+{
+    const Dim dim = m.dim();
+    groups.clear();
+    for (std::size_t g = 0; g < m.numGroups(); ++g)
+        groups.push_back(m.groupHv(g));
+    norms.clear();
+    for (std::size_t c = 0; c < m.numClasses(); ++c)
+        norms.push_back(m.trackedNorm(c));
+    const auto raw = [&](std::size_t cls) {
+        const RealHv &group = groups[m.groupOf(cls)];
+        const BipolarHv &key = m.classKeys().at(cls);
+        double sum = 0.0;
+        for (std::size_t i = 0; i < dim; ++i)
+            sum += static_cast<double>(query[i]) * key[i] * group[i];
+        return sum;
+    };
+    const double s_correct = raw(correct);
+    const double s_wrong = raw(wrong);
+    RealHv u = toReal(query);
+    const RealHv &dir = m.commonDirection();
+    if (!dir.empty()) {
+        double proj = 0.0;
+        for (std::size_t i = 0; i < dim; ++i)
+            proj += u[i] * dir[i];
+        for (std::size_t i = 0; i < dim; ++i)
+            u[i] -= proj * dir[i];
+    }
+    double u_norm2 = 0.0;
+    for (double v : u)
+        u_norm2 += v * v;
+    RealHv &g_correct = groups[m.groupOf(correct)];
+    RealHv &g_wrong = groups[m.groupOf(wrong)];
+    const BipolarHv &k_correct = m.classKeys().at(correct);
+    const BipolarHv &k_wrong = m.classKeys().at(wrong);
+    for (std::size_t i = 0; i < dim; ++i) {
+        const double delta = scale * u[i];
+        g_correct[i] += k_correct[i] * delta;
+        g_wrong[i] -= k_wrong[i] * delta;
+    }
+    const auto refresh = [&](std::size_t cls, double signal,
+                             double sgn) {
+        const double n2 = norms[cls] * norms[cls] +
+                          sgn * 2.0 * scale * signal +
+                          scale * scale * u_norm2;
+        norms[cls] = std::sqrt(std::max(n2, 1e-12));
+    };
+    refresh(correct, s_correct, +1.0);
+    refresh(wrong, s_wrong, -1.0);
+}
+
+TEST(CompressedModelTest, FusedUpdateEqualsSeparatePassesBitwise)
+{
+    const Dim dim = 999;
+    const ClassModel model = syntheticModel(dim, 4, 0.3, 87);
+    CompressionConfig paired;
+    paired.maxClassesPerGroup = 2; // {0, 1} and {2, 3}
+    CompressionConfig plain;
+    plain.decorrelate = false;
+    util::Rng qrng(89);
+    for (const CompressionConfig &cfg :
+         {CompressionConfig{}, paired, plain}) {
+        util::Rng rng(91);
+        CompressedModel compressed(model, rng, cfg);
+        // Same group and different groups under `paired`.
+        for (const auto &[correct, wrong] :
+             {std::pair<std::size_t, std::size_t>{0, 1}, {3, 0},
+              {2, 3}}) {
+            const IntHv query = randomQuery(dim, qrng);
+            std::vector<RealHv> groups;
+            std::vector<double> norms;
+            separatePassUpdate(compressed, correct, wrong, query, 0.7,
+                               groups, norms);
+            compressed.applyUpdate(correct, wrong, query, 0.7);
+            for (std::size_t g = 0; g < groups.size(); ++g)
+                EXPECT_EQ(std::memcmp(groups[g].data(),
+                                      compressed.groupHv(g).data(),
+                                      dim * sizeof(double)),
+                          0)
+                    << "group " << g;
+            for (std::size_t c = 0; c < norms.size(); ++c)
+                EXPECT_TRUE(sameBits(norms[c], compressed.trackedNorm(c)))
+                    << "norm " << c;
+        }
+    }
 }
 
 TEST(CompressedModelTest, ExactScoresRequireReference)

@@ -350,54 +350,62 @@ TEST(Kernels, MatchCountIgnoresGarbageTailBits)
 TEST(Kernels, SimilarityBatchEqualsPerQueryDotsBitwise)
 {
     Rng rng(606);
-    // Query/row counts straddling the 4-query blocking of the AVX2
-    // batch kernel.
-    for (const std::size_t numQueries : {1u, 3u, 4u, 5u, 9u}) {
-        for (const std::size_t numRows : {1u, 2u, 7u}) {
-            const std::size_t n = 131;
-            std::vector<std::vector<std::int32_t>> queries(
-                numQueries, std::vector<std::int32_t>(n));
-            std::vector<std::vector<double>> rows(
-                numRows, std::vector<double>(n));
-            std::vector<const std::int32_t *> qptrs;
-            std::vector<const double *> rptrs;
-            for (auto &q : queries) {
-                for (auto &v : q)
-                    v = static_cast<std::int32_t>(
-                            rng.nextBelow(2001)) -
-                        1000;
-                qptrs.push_back(q.data());
-            }
-            for (auto &r : rows) {
-                for (auto &v : r)
-                    v = rng.nextDouble(-1.0, 1.0);
-                rptrs.push_back(r.data());
-            }
-            ForcedImpl scalar(kernels::Impl::kScalar);
-            std::vector<double> ref(numQueries * numRows);
-            kernels::similarityBatch(qptrs.data(), numQueries,
-                                     rptrs.data(), numRows, n,
-                                     ref.data());
-            kernels::clearForcedImpl();
-            for (const kernels::Impl impl : availableImpls()) {
-                kernels::forceImpl(impl);
-                std::vector<double> out(numQueries * numRows);
+    // Counts straddling the AVX2 register tile (2 queries x 4 rows)
+    // and lengths straddling its 4-lane steps: odd query counts, row
+    // counts that leave 1-3 rows over, n % 4 != 0. Every row and query
+    // sits one element into its buffer, so loads are unaligned.
+    for (const std::size_t n : {1u, 3u, 4u, 5u, 131u, 132u}) {
+        for (const std::size_t numQueries : {1u, 2u, 3u, 4u, 5u, 9u}) {
+            for (const std::size_t numRows :
+                 {1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u}) {
+                std::vector<std::vector<std::int32_t>> queries(
+                    numQueries, std::vector<std::int32_t>(n + 1));
+                std::vector<std::vector<double>> rows(
+                    numRows, std::vector<double>(n + 1));
+                std::vector<const std::int32_t *> qptrs;
+                std::vector<const double *> rptrs;
+                for (auto &q : queries) {
+                    for (auto &v : q)
+                        v = static_cast<std::int32_t>(
+                                rng.nextBelow(2001)) -
+                            1000;
+                    qptrs.push_back(q.data() + 1);
+                }
+                for (auto &r : rows) {
+                    for (auto &v : r)
+                        v = rng.nextDouble(-1.0, 1.0);
+                    rptrs.push_back(r.data() + 1);
+                }
+                ForcedImpl scalar(kernels::Impl::kScalar);
+                std::vector<double> ref(numQueries * numRows);
                 kernels::similarityBatch(qptrs.data(), numQueries,
                                          rptrs.data(), numRows, n,
-                                         out.data());
-                for (std::size_t q = 0; q < numQueries; ++q)
-                    for (std::size_t r = 0; r < numRows; ++r) {
-                        const std::size_t at = q * numRows + r;
-                        EXPECT_EQ(bits(out[at]), bits(ref[at]))
-                            << kernels::implName(impl) << " q=" << q
-                            << " r=" << r;
-                        // Batch == the single-query kernel, exactly.
-                        EXPECT_EQ(
-                            bits(out[at]),
-                            bits(kernels::dotIntReal(
-                                qptrs[q], rptrs[r], n)))
-                            << kernels::implName(impl);
-                    }
+                                         ref.data());
+                kernels::clearForcedImpl();
+                for (const kernels::Impl impl : availableImpls()) {
+                    kernels::forceImpl(impl);
+                    std::vector<double> out(numQueries * numRows);
+                    kernels::similarityBatch(qptrs.data(), numQueries,
+                                             rptrs.data(), numRows, n,
+                                             out.data());
+                    for (std::size_t q = 0; q < numQueries; ++q)
+                        for (std::size_t r = 0; r < numRows; ++r) {
+                            const std::size_t at = q * numRows + r;
+                            EXPECT_EQ(bits(out[at]), bits(ref[at]))
+                                << kernels::implName(impl)
+                                << " n=" << n << " q=" << q
+                                << "/" << numQueries << " r=" << r
+                                << "/" << numRows;
+                            // Batch == the single-query kernel.
+                            EXPECT_EQ(bits(out[at]),
+                                      bits(kernels::dotIntReal(
+                                          qptrs[q], rptrs[r], n)))
+                                << kernels::implName(impl)
+                                << " n=" << n << " q=" << q
+                                << "/" << numQueries << " r=" << r
+                                << "/" << numRows;
+                        }
+                }
             }
         }
     }

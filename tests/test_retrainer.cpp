@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <numeric>
+#include <optional>
 
 #include "data/synthetic.hpp"
 #include "lookhd/counter_trainer.hpp"
@@ -28,7 +31,8 @@ struct Pipeline
 
     Pipeline(Dim dim, std::size_t q, std::size_t r,
              const data::SyntheticSpec &spec, std::size_t n_train,
-             std::size_t n_test, std::uint64_t seed = 1)
+             std::size_t n_test, std::uint64_t seed = 1,
+             CompressionConfig compression = {})
         : train(1, 1), test(1, 1)
     {
         data::SyntheticProblem problem(spec);
@@ -47,7 +51,7 @@ struct Pipeline
         const ClassModel trained = trainer.train(train);
         util::Rng key_rng = rng.split();
         model = std::make_unique<CompressedModel>(trained, key_rng,
-                                                  CompressionConfig{});
+                                                  compression);
     }
 };
 
@@ -154,7 +158,8 @@ TEST(Retrainer, ValidationEarlyStopHaltsOnPlateau)
         retrainer.retrain(*p.model, p.train, opts);
     EXPECT_TRUE(result.stoppedEarly);
     EXPECT_LT(result.epochsRun, 40u);
-    EXPECT_EQ(result.validationHistory.size(), result.epochsRun);
+    // Epoch 0, the model as passed in, is the first entry.
+    EXPECT_EQ(result.validationHistory.size(), result.epochsRun + 1);
 }
 
 TEST(Retrainer, ValidationKeepsBestModel)
@@ -201,6 +206,198 @@ TEST(Retrainer, UpdateCountMatchesHistoryShape)
     if (result.accuracyHistory.front() < 1.0) {
         EXPECT_GT(result.updates, 0u);
     }
+}
+
+/**
+ * The retraining loop as the paper states it, one row at a time:
+ * every similarity check is a CompressedModel::predict() of the model
+ * the hardware would read (the frozen original under deferredSwap,
+ * else the copy being updated), and every accuracy is a fresh
+ * per-row pass. The selection rule is Retrainer's: epoch 0 (the model
+ * passed in) is a candidate, and the first best validation accuracy
+ * wins.
+ */
+RetrainResult
+referenceRetrain(CompressedModel &model, const std::vector<IntHv> &encoded,
+                 const std::vector<std::size_t> &labels,
+                 const RetrainOptions &options)
+{
+    std::vector<std::size_t> update_idx(encoded.size());
+    std::iota(update_idx.begin(), update_idx.end(), std::size_t{0});
+    std::vector<std::size_t> val_idx;
+    if (options.validationFraction > 0.0) {
+        util::Rng rng(options.validationSeed);
+        rng.shuffle(update_idx);
+        const auto cut = static_cast<std::size_t>(
+            options.validationFraction *
+            static_cast<double>(update_idx.size()));
+        val_idx.assign(update_idx.begin(), update_idx.begin() + cut);
+        update_idx.erase(update_idx.begin(), update_idx.begin() + cut);
+    }
+    std::vector<std::size_t> all_idx(encoded.size());
+    std::iota(all_idx.begin(), all_idx.end(), std::size_t{0});
+    const auto accuracy = [&](const CompressedModel &m,
+                              const std::vector<std::size_t> &rows) {
+        std::size_t ok = 0;
+        for (std::size_t i : rows)
+            ok += m.predict(encoded[i]) == labels[i];
+        return static_cast<double>(ok) / static_cast<double>(rows.size());
+    };
+
+    RetrainResult result;
+    result.accuracyHistory.push_back(accuracy(model, all_idx));
+    std::optional<CompressedModel> best_model;
+    double best_val = 0.0;
+    if (!val_idx.empty()) {
+        best_val = accuracy(model, val_idx);
+        result.validationHistory.push_back(best_val);
+        best_model = model;
+    }
+    std::size_t stale = 0;
+    for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
+        CompressedModel working = model;
+        const CompressedModel &oracle =
+            options.deferredSwap ? model : working;
+        for (std::size_t i : update_idx) {
+            const std::size_t pred = oracle.predict(encoded[i]);
+            if (pred == labels[i])
+                continue;
+            working.applyUpdate(labels[i], pred, encoded[i],
+                                options.learningRate);
+            ++result.updates;
+        }
+        model = std::move(working);
+        ++result.epochsRun;
+        result.accuracyHistory.push_back(accuracy(model, all_idx));
+        if (val_idx.empty())
+            continue;
+        const double val = accuracy(model, val_idx);
+        result.validationHistory.push_back(val);
+        if (val > best_val) {
+            best_val = val;
+            best_model = model;
+            stale = 0;
+        } else if (++stale >= options.earlyStopPatience) {
+            result.stoppedEarly = true;
+            break;
+        }
+    }
+    if (best_model)
+        model = std::move(*best_model);
+    return result;
+}
+
+/** Byte equality of two models' groups and tracked norms. */
+void
+expectSameModelBits(const CompressedModel &a, const CompressedModel &b)
+{
+    ASSERT_EQ(a.numGroups(), b.numGroups());
+    for (std::size_t g = 0; g < a.numGroups(); ++g) {
+        const RealHv &ga = a.groupHv(g);
+        const RealHv &gb = b.groupHv(g);
+        ASSERT_EQ(ga.size(), gb.size());
+        EXPECT_EQ(std::memcmp(ga.data(), gb.data(),
+                              ga.size() * sizeof(double)),
+                  0)
+            << "group " << g;
+    }
+    for (std::size_t c = 0; c < a.numClasses(); ++c) {
+        const double na = a.trackedNorm(c);
+        const double nb = b.trackedNorm(c);
+        EXPECT_EQ(std::memcmp(&na, &nb, sizeof(double)), 0)
+            << "norm of class " << c;
+    }
+}
+
+/** Retrainer against referenceRetrain on two copies of one model. */
+void
+expectMatchesReference(const Pipeline &p, const RetrainOptions &opts)
+{
+    Retrainer retrainer(*p.encoder);
+    const std::vector<IntHv> encoded = retrainer.encodeAll(p.train);
+    CompressedModel batched = *p.model;
+    CompressedModel per_row = *p.model;
+    const RetrainResult got =
+        retrainer.retrainEncoded(batched, encoded, p.train.labels(), opts);
+    const RetrainResult want =
+        referenceRetrain(per_row, encoded, p.train.labels(), opts);
+    EXPECT_EQ(got.accuracyHistory, want.accuracyHistory);
+    EXPECT_EQ(got.validationHistory, want.validationHistory);
+    EXPECT_EQ(got.updates, want.updates);
+    EXPECT_EQ(got.epochsRun, want.epochsRun);
+    EXPECT_EQ(got.stoppedEarly, want.stoppedEarly);
+    // The runs must have done something for the comparison to count.
+    EXPECT_GT(want.updates, 0u);
+    expectSameModelBits(batched, per_row);
+}
+
+TEST(Retrainer, ValidationReturnsUnretrainedModelWhenEveryEpochLoses)
+{
+    // Label noise the perceptron chases: each epoch fits the noisy
+    // training rows and loses held-out accuracy.
+    data::SyntheticSpec spec = hardSpec(1);
+    spec.labelNoise = 0.2;
+    Pipeline p(1000, 4, 5, spec, 300, 10, 1);
+    const CompressedModel original = *p.model;
+    Retrainer retrainer(*p.encoder);
+    RetrainOptions opts;
+    opts.epochs = 6;
+    opts.validationFraction = 0.3;
+    const RetrainResult result =
+        retrainer.retrain(*p.model, p.train, opts);
+
+    ASSERT_TRUE(result.stoppedEarly);
+    ASSERT_EQ(result.validationHistory.size(), result.epochsRun + 1);
+    for (std::size_t e = 1; e < result.validationHistory.size(); ++e)
+        ASSERT_LT(result.validationHistory[e],
+                  result.validationHistory.front())
+            << "epoch " << e << " did not lose validation accuracy";
+    EXPECT_GT(result.updates, 0u);
+    // No epoch beat the model passed in, so it comes back unchanged.
+    expectSameModelBits(*p.model, original);
+}
+
+TEST(RetrainerReference, DeferredSwapMatchesPerRowLoop)
+{
+    Pipeline p(1000, 4, 5, hardSpec(31), 240, 10, 31);
+    RetrainOptions opts;
+    opts.epochs = 4;
+    expectMatchesReference(p, opts);
+}
+
+TEST(RetrainerReference, ImmediateSwapMatchesPerRowLoop)
+{
+    Pipeline p(1000, 4, 5, hardSpec(33), 240, 10, 33);
+    RetrainOptions opts;
+    opts.epochs = 4;
+    opts.deferredSwap = false;
+    expectMatchesReference(p, opts);
+}
+
+TEST(RetrainerReference, ValidationSelectionMatchesPerRowLoop)
+{
+    Pipeline p(1000, 4, 5, hardSpec(35), 240, 10, 35);
+    RetrainOptions opts;
+    opts.epochs = 6;
+    opts.validationFraction = 0.25;
+    opts.earlyStopPatience = 2;
+    expectMatchesReference(p, opts);
+}
+
+TEST(RetrainerReference, GroupedScaledScoresMatchPerRowLoop)
+{
+    // 15 classes in groups of at most 4: four compressed
+    // hypervectors, and scores divided by the tracked norms.
+    data::SyntheticSpec spec = hardSpec(37);
+    spec.numClasses = 15;
+    CompressionConfig compression;
+    compression.maxClassesPerGroup = 4;
+    compression.scaleScores = true;
+    Pipeline p(1000, 4, 5, spec, 450, 10, 37, compression);
+    ASSERT_EQ(p.model->numGroups(), 4u);
+    RetrainOptions opts;
+    opts.epochs = 3;
+    expectMatchesReference(p, opts);
 }
 
 } // namespace

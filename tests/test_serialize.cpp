@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "data/synthetic.hpp"
+#include "hdc/kernels.hpp"
 #include "lookhd/serialize.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -610,6 +612,90 @@ TEST(SerializeQuantized, ServingModelCtorRejectsCorruptParts)
             QuantizedServingModel(dim, rows, scales, bad),
             util::ContractViolation);
     }
+}
+
+/** FNV-1a 64 of a byte string. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/**
+ * Six noisy classes over 24 features, drawn with uniform deviates
+ * only, so the rows do not depend on the C library's log.
+ */
+data::Dataset
+goldenData()
+{
+    constexpr std::size_t kFeatures = 24;
+    constexpr std::size_t kClasses = 6;
+    constexpr std::size_t kRows = 240;
+    util::Rng rng(2024);
+    std::vector<double> centers(kClasses * kFeatures);
+    for (double &c : centers)
+        c = rng.nextDouble(-1.0, 1.0);
+    data::Dataset ds(kFeatures, kClasses);
+    std::vector<double> row(kFeatures);
+    for (std::size_t i = 0; i < kRows; ++i) {
+        const std::size_t label = i % kClasses;
+        for (std::size_t f = 0; f < kFeatures; ++f)
+            row[f] = centers[label * kFeatures + f] +
+                     rng.nextDouble(-1.5, 1.5);
+        ds.add(row, label);
+    }
+    return ds;
+}
+
+TEST(SerializeGolden, FittedModelBytesArePinned)
+{
+    // The saved bytes of two seeded fits (counter training, then
+    // compressed retraining), recorded from a build whose retraining
+    // scored every row with CompressedModel::predict. A change to the
+    // training arithmetic that moves one bit of a group, a norm or a
+    // table shows here; every kernel implementation must give the
+    // same bytes.
+    ClassifierConfig cfg;
+    cfg.dim = 1000;
+    cfg.quantLevels = 4;
+    cfg.chunkSize = 5;
+    cfg.retrainEpochs = 4;
+    ClassifierConfig grouped = cfg;
+    grouped.compression.maxClassesPerGroup = 4;
+    grouped.retrain.deferredSwap = false;
+    const struct
+    {
+        ClassifierConfig config;
+        std::uint64_t hash;
+        std::size_t size;
+    } cases[] = {
+        {cfg, 0x861e01b7a97b3073ULL, 86274},
+        {grouped, 0x56031d1f605310ffULL, 94282},
+    };
+    const data::Dataset train = goldenData();
+    for (const hdc::kernels::Impl impl :
+         {hdc::kernels::Impl::kScalar, hdc::kernels::Impl::kAvx2,
+          hdc::kernels::Impl::kAvx512, hdc::kernels::Impl::kNeon}) {
+        if (!hdc::kernels::implAvailable(impl))
+            continue;
+        hdc::kernels::forceImpl(impl);
+        for (const auto &c : cases) {
+            Classifier clf(c.config);
+            clf.fit(train);
+            std::ostringstream out;
+            saveClassifier(clf, out);
+            EXPECT_EQ(out.str().size(), c.size) << hdc::kernels::implName(impl);
+            EXPECT_EQ(fnv1a(out.str()), c.hash)
+                << hdc::kernels::implName(impl) << " groups="
+                << c.config.compression.maxClassesPerGroup;
+        }
+    }
+    hdc::kernels::clearForcedImpl();
 }
 
 } // namespace
