@@ -10,8 +10,11 @@
 
 #include "hdc/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -118,11 +121,39 @@ mulIntRealScalar(const std::int32_t *a, const double *b, double *out,
 }
 
 void
-addSignedI8Scalar(std::int32_t *acc, const std::int32_t *row,
-                  const std::int8_t *signs, std::size_t n)
+addSignedRowsScalar(std::int32_t *acc, const std::int32_t *const *rows,
+                    const std::int8_t *const *signs, std::size_t count,
+                    std::size_t n)
 {
+    for (std::size_t t = 0; t < count; ++t) {
+        const std::int32_t *row = rows[t];
+        const std::int8_t *s = signs[t];
+        for (std::size_t i = 0; i < n; ++i)
+            acc[i] += row[i] * s[i];
+    }
+}
+
+double
+quantizeI8Scalar(const std::int32_t *row, std::size_t n,
+                 std::int8_t *out)
+{
+    // Round half away from zero as an add-half truncation: one IEEE
+    // multiply, one add and a truncating conversion per element.
+    // |v| * inv <= 127 up to rounding, so the clamp only guards
+    // against it.
+    std::int64_t maxabs = 0;
     for (std::size_t i = 0; i < n; ++i)
-        acc[i] += row[i] * signs[i];
+        maxabs = std::max(maxabs,
+                          std::abs(static_cast<std::int64_t>(row[i])));
+    const double scale =
+        maxabs > 0 ? static_cast<double>(maxabs) / 127.0 : 1.0;
+    const double inv = 1.0 / scale;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double r = static_cast<double>(row[i]) * inv;
+        const int q = static_cast<int>(r + std::copysign(0.5, r));
+        out[i] = static_cast<std::int8_t>(std::clamp(q, -127, 127));
+    }
+    return scale;
 }
 
 std::size_t
@@ -186,7 +217,8 @@ constexpr detail::KernelTable kScalarTable = {
     dotIntRealScalar,
     dotRealI8Scalar,
     mulIntRealScalar,
-    addSignedI8Scalar,
+    addSignedRowsScalar,
+    quantizeI8Scalar,
     matchCountWordsScalar,
     similarityBatchScalar,
     scoresBatchI8Scalar,
@@ -341,10 +373,17 @@ mulIntReal(const std::int32_t *a, const double *b, double *out,
 }
 
 void
-addSignedI8(std::int32_t *acc, const std::int32_t *row,
-            const std::int8_t *signs, std::size_t n)
+addSignedRows(std::int32_t *acc, const std::int32_t *const *rows,
+              const std::int8_t *const *signs, std::size_t count,
+              std::size_t n)
 {
-    active().addSignedI8(acc, row, signs, n);
+    active().addSignedRows(acc, rows, signs, count, n);
+}
+
+double
+quantizeI8(const std::int32_t *row, std::size_t n, std::int8_t *out)
+{
+    return active().quantizeI8(row, n, out);
 }
 
 std::size_t

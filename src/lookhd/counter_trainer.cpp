@@ -256,11 +256,11 @@ CounterTrainer::finalize(const CounterBank &bank) const
                     });
                 // Chunk aggregation: bind the position key and
                 // accumulate.
-                const hdc::BipolarHv &key =
-                    encoder_.positionKeys().at(ch);
-                hdc::kernels::addSignedI8(class_hv.data(),
-                                          chunk_acc.data(),
-                                          key.data(), class_hv.size());
+                const std::int32_t *rows[] = {chunk_acc.data()};
+                const std::int8_t *keys[] = {
+                    encoder_.positionKeys().at(ch).data()};
+                hdc::kernels::addSignedRows(class_hv.data(), rows, keys,
+                                            1, class_hv.size());
             }
         }
     };

@@ -1,5 +1,7 @@
 #include "lookhd/lookup_encoder.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "hdc/kernels.hpp"
@@ -7,6 +9,16 @@
 #include "util/check.hpp"
 
 namespace lookhd {
+
+namespace {
+
+/**
+ * Chunk rows summed per kernel call: each block of the sum is read
+ * and written once per call, so PHYSICAL (11 chunks) takes one pass.
+ */
+constexpr std::size_t kRowsPerPass = 16;
+
+} // namespace
 
 LookupEncoder::LookupEncoder(
     std::shared_ptr<const hdc::LevelMemory> levels,
@@ -73,43 +85,83 @@ std::vector<Address>
 LookupEncoder::chunkAddressesOfLevels(
     std::span<const std::size_t> levels) const
 {
+    std::vector<Address> out(chunks_.numChunks());
+    addressesInto(levels, out);
+    return out;
+}
+
+void
+LookupEncoder::addressesInto(std::span<const std::size_t> levels,
+                             std::span<Address> out) const
+{
     LOOKHD_CHECK(levels.size() == chunks_.numFeatures(),
                  "level vector width mismatch");
-    std::vector<Address> out(chunks_.numChunks());
     for (std::size_t c = 0; c < chunks_.numChunks(); ++c) {
         out[c] = addressOf(
             levels.subspan(chunks_.begin(c), chunks_.length(c)),
             levels_->levels());
     }
-    return out;
 }
 
 hdc::IntHv
 LookupEncoder::encode(std::span<const double> features) const
 {
+    hdc::IntHv out;
+    encodeInto(features, out);
+    return out;
+}
+
+void
+LookupEncoder::encodeInto(std::span<const double> features,
+                          hdc::IntHv &out) const
+{
     LOOKHD_SPAN("lookhd.encode", "encode");
     LOOKHD_COUNT_ADD("lookhd.encode.calls", 1);
-    const auto addresses = chunkAddresses(features);
-    return encodeFromAddresses(addresses);
+    LOOKHD_CHECK(features.size() == chunks_.numFeatures(),
+                 "feature vector width mismatch");
+    thread_local std::vector<std::size_t> levels;
+    thread_local std::vector<Address> addresses;
+    levels.resize(features.size());
+    bank_.levelsOf(features, levels);
+    addresses.resize(chunks_.numChunks());
+    addressesInto(levels, addresses);
+    out.resize(dim());
+    sumChunkRows(addresses, out.data());
 }
 
 hdc::IntHv
 LookupEncoder::encodeFromAddresses(
     std::span<const Address> addresses) const
 {
+    hdc::IntHv acc(dim());
+    sumChunkRows(addresses, acc.data());
+    return acc;
+}
+
+void
+LookupEncoder::sumChunkRows(std::span<const Address> addresses,
+                            std::int32_t *out) const
+{
     LOOKHD_CHECK(addresses.size() == chunks_.numChunks(),
                  "address count mismatch");
-    hdc::IntHv acc(dim(), 0);
-    hdc::IntHv scratch;
-    for (std::size_t c = 0; c < addresses.size(); ++c) {
-        const hdc::IntHv &chunk_hv =
-            tableFor(c).row(addresses[c], scratch);
-        const hdc::BipolarHv &key = positions_.at(c);
-        // acc += P_c * chunk_hv, fused to avoid a temporary.
-        hdc::kernels::addSignedI8(acc.data(), chunk_hv.data(),
-                                  key.data(), acc.size());
+    std::fill_n(out, dim(), 0);
+    // A row of a table too large to materialize is computed into its
+    // slot of `lazy`; a materialized row is read in place.
+    std::array<const std::int32_t *, kRowsPerPass> rows;
+    std::array<const std::int8_t *, kRowsPerPass> keys;
+    std::array<hdc::IntHv, kRowsPerPass> lazy;
+    for (std::size_t first = 0; first < addresses.size();
+         first += kRowsPerPass) {
+        const std::size_t count =
+            std::min(kRowsPerPass, addresses.size() - first);
+        for (std::size_t j = 0; j < count; ++j) {
+            const std::size_t c = first + j;
+            rows[j] = tableFor(c).row(addresses[c], lazy[j]).data();
+            keys[j] = positions_.at(c).data();
+        }
+        hdc::kernels::addSignedRows(out, rows.data(), keys.data(),
+                                    count, dim());
     }
-    return acc;
 }
 
 const ChunkLookupTable &

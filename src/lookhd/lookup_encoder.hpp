@@ -81,6 +81,14 @@ class LookupEncoder
     /** Full LookHD encoding (Eq. 3) of a raw feature vector. */
     hdc::IntHv encode(std::span<const double> features) const;
 
+    /**
+     * encode() into @p out, reusing its storage and this thread's
+     * level and address buffers: once @p out has held one encoding,
+     * a call allocates nothing. The per-row serving path.
+     */
+    void encodeInto(std::span<const double> features,
+                    hdc::IntHv &out) const;
+
     /** Eq. 3 aggregation from per-chunk addresses. */
     hdc::IntHv
     encodeFromAddresses(std::span<const Address> addresses) const;
@@ -100,6 +108,18 @@ class LookupEncoder
     std::size_t materializedBytes() const;
 
   private:
+    /** chunkAddressesOfLevels() into @p out (numChunks() entries). */
+    void addressesInto(std::span<const std::size_t> levels,
+                       std::span<Address> out) const;
+
+    /**
+     * Eq. 3 into @p out (dim() elements): every chunk row bound with
+     * its position key and summed by one register-blocked kernel
+     * pass per kRowsPerPass chunks.
+     */
+    void sumChunkRows(std::span<const Address> addresses,
+                      std::int32_t *out) const;
+
     std::shared_ptr<const hdc::LevelMemory> levels_;
     quant::QuantizerBank bank_;
     ChunkSpec chunks_;

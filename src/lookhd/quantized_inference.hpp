@@ -111,9 +111,11 @@ class QuantizedServingModel
     /**
      * Int8-path scores of a batch of encoded queries, flat
      * out[q * numClasses() + c]. Each query is quantized with its
-     * own max-abs/127 scale; results are bit-identical across kernel
-     * Impls and to a batch of size one (exact integer dot, one
-     * fixed-order scalar multiply per score).
+     * own max-abs/127 scale, into buffers this thread reuses, so the
+     * returned scores are the only allocation of a warm call;
+     * results are bit-identical across kernel Impls and to a batch
+     * of size one (exact integer dot, one fixed-order scalar
+     * multiply per score).
      */
     std::vector<double>
     scoresBatchI8(const hdc::IntHv *const *queries,

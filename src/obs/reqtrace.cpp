@@ -202,9 +202,12 @@ SlowRequestLog::SlowRequestLog(std::size_t ringCapacity)
 void
 SlowRequestLog::record(SlowRequestRecord r)
 {
-    r.seq = nextSeq_.fetch_add(1, std::memory_order_relaxed);
     r.wallMs = wallClockMs();
-    rings_.push(std::move(r));
+    // The seq is taken under the ring's lock: a flush that reads
+    // nextSeq_ past it then locks this ring after the push.
+    rings_.push(std::move(r), [this](SlowRequestRecord &rec) {
+        rec.seq = nextSeq_.fetch_add(1);
+    });
 }
 
 std::vector<SlowRequestRecord>
@@ -226,16 +229,20 @@ std::uint64_t
 SlowRequestLog::writeJsonLines(std::ostream &out,
                                std::uint64_t afterSeq) const
 {
-    std::uint64_t highest = afterSeq;
+    // Every seq below `limit` was taken, and pushed, under its ring's
+    // lock before this load, so the snapshot holds each one still
+    // retained. A record with a later seq may be missing (its writer
+    // had not pushed yet) while a later one is present, so the flush
+    // stops at limit - 1 and leaves the rest to the next call.
+    const std::uint64_t limit = nextSeq_.load();
     for (const SlowRequestRecord &r : snapshot()) {
-        if (r.seq <= afterSeq)
+        if (r.seq <= afterSeq || r.seq >= limit)
             continue;
         JsonWriter w;
         writeSlowRequestJson(w, r);
         out << w.str() << '\n';
-        highest = std::max(highest, r.seq);
     }
-    return highest;
+    return std::max(afterSeq, limit - 1);
 }
 
 std::uint64_t

@@ -221,8 +221,10 @@ class SlowRequestLog
 
     /**
      * Append records with seq > @p afterSeq as JSON lines, ascending
-     * seq. @return the highest seq written (== @p afterSeq when
-     * nothing was new) - feed it back in as the next watermark.
+     * seq: every record captured before the call and still retained,
+     * exactly once across calls. @return the new watermark (the
+     * highest seq captured before the call, or @p afterSeq when
+     * nothing was new) - feed it back in as the next @p afterSeq.
      */
     std::uint64_t writeJsonLines(std::ostream &out,
                                  std::uint64_t afterSeq) const;

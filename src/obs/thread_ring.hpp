@@ -97,8 +97,20 @@ class ThreadRing
     void
     push(T item)
     {
+        push(std::move(item), [](T &) {});
+    }
+
+    /**
+     * push(), calling @p stamp(item) under the ring's lock first: a
+     * reader that locks this ring after stamp ran also sees the item.
+     */
+    template <typename Stamp>
+    void
+    push(T item, Stamp &&stamp)
+    {
         Ring &ring = ringForThisThread();
         const util::MutexLock lock(ring.mutex);
+        stamp(item);
         ring.slots[ring.head] = std::move(item);
         ring.head = (ring.head + 1) % capacity_;
         if (ring.size < capacity_) {

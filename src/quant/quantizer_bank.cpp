@@ -56,12 +56,20 @@ QuantizerBank::fit(const data::Dataset &ds, std::size_t levels,
 std::vector<std::size_t>
 QuantizerBank::levelsOf(std::span<const double> row) const
 {
-    LOOKHD_CHECK(row.size() == numFeatures_, "row width mismatch");
-    const std::span<const double> all(bounds_);
     std::vector<std::size_t> out(row.size());
+    levelsOf(row, out);
+    return out;
+}
+
+void
+QuantizerBank::levelsOf(std::span<const double> row,
+                        std::span<std::size_t> out) const
+{
+    LOOKHD_CHECK(row.size() == numFeatures_, "row width mismatch");
+    LOOKHD_CHECK(out.size() == row.size(), "level buffer width mismatch");
+    const std::span<const double> all(bounds_);
     for (std::size_t f = 0; f < row.size(); ++f)
         out[f] = binOf(all.subspan(f * stride_, levels_ - 1), row[f]);
-    return out;
 }
 
 std::span<const double>

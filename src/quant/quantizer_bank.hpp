@@ -53,6 +53,13 @@ class QuantizerBank
     /** Quantize a whole row. @pre row.size() == numFeatures(). */
     std::vector<std::size_t> levelsOf(std::span<const double> row) const;
 
+    /**
+     * levelsOf() into @p out. @pre row.size() == numFeatures() ==
+     * out.size().
+     */
+    void levelsOf(std::span<const double> row,
+                  std::span<std::size_t> out) const;
+
     /** The q-1 ascending boundaries of feature @p feature. */
     std::span<const double> boundaries(std::size_t feature) const;
 

@@ -293,11 +293,70 @@ TEST(Kernels, ElementwiseKernelsMatchReferenceEveryImpl)
                         static_cast<std::ptrdiff_t>(offset),
                     ops.ints2.begin() +
                         static_cast<std::ptrdiff_t>(offset + n));
-                kernels::addSignedI8(acc.data(), ops.a(offset),
-                                     ops.s(offset), n);
+                const std::int32_t *rows[] = {ops.a(offset)};
+                const std::int8_t *signs[] = {ops.s(offset)};
+                kernels::addSignedRows(acc.data(), rows, signs, 1, n);
                 EXPECT_EQ(acc, refAcc)
                     << kernels::implName(impl) << " n=" << n
                     << " offset=" << offset;
+            }
+        }
+    }
+}
+
+TEST(Kernels, AddSignedRowsMatchesScalarEveryImpl)
+{
+    // The encoder's blocked sum: 0, 1, 11 (PHYSICAL's chunk count)
+    // and more rows than one encoder pass takes; lengths that are
+    // not a multiple of any vector width; unaligned rows, keys and
+    // sum. Each Impl must give the scalar reference's int32 sums.
+    Rng rng(606);
+    for (const std::size_t count : {0UL, 1UL, 2UL, 11UL, 17UL, 40UL}) {
+        for (const std::size_t n :
+             {0UL, 1UL, 7UL, 8UL, 9UL, 15UL, 16UL, 17UL, 31UL, 33UL,
+              63UL, 64UL, 65UL, 127UL, 2000UL, 2001UL}) {
+            const std::size_t offset = (count + n) % 3;
+            std::vector<std::vector<std::int32_t>> rowStore(count);
+            std::vector<std::vector<std::int8_t>> keyStore(count);
+            std::vector<const std::int32_t *> rows(count);
+            std::vector<const std::int8_t *> keys(count);
+            for (std::size_t t = 0; t < count; ++t) {
+                rowStore[t].resize(n + offset);
+                keyStore[t].resize(n + offset);
+                for (std::size_t i = 0; i < n + offset; ++i) {
+                    rowStore[t][i] =
+                        static_cast<std::int32_t>(rng.nextBelow(20001)) -
+                        10000;
+                    keyStore[t][i] = rng.nextBelow(2) ? 1 : -1;
+                }
+                rows[t] = rowStore[t].data() + offset;
+                keys[t] = keyStore[t].data() + offset;
+            }
+            std::vector<std::int32_t> start(n + offset);
+            for (auto &v : start)
+                v = static_cast<std::int32_t>(rng.nextBelow(2001)) - 1000;
+
+            std::vector<std::int32_t> expected = start;
+            {
+                ForcedImpl forced(kernels::Impl::kScalar);
+                kernels::addSignedRows(expected.data() + offset,
+                                       rows.data(), keys.data(), count,
+                                       n);
+            }
+            for (std::size_t i = 0; i < n; ++i) {
+                std::int32_t sum = start[offset + i];
+                for (std::size_t t = 0; t < count; ++t)
+                    sum += rows[t][i] * keys[t][i];
+                ASSERT_EQ(expected[offset + i], sum) << "i=" << i;
+            }
+            for (const kernels::Impl impl : availableImpls()) {
+                ForcedImpl forced(impl);
+                std::vector<std::int32_t> acc = start;
+                kernels::addSignedRows(acc.data() + offset, rows.data(),
+                                       keys.data(), count, n);
+                EXPECT_EQ(acc, expected)
+                    << kernels::implName(impl) << " count=" << count
+                    << " n=" << n;
             }
         }
     }

@@ -1,9 +1,10 @@
 /**
  * @file
  * Differential tests for the quantized-serving kernels: dotI8I8,
- * scoresBatchI8, dotIntPackedWords, and the widened matchCountWords
- * dispatch. Every compiled-in implementation (scalar, AVX2, AVX-512,
- * NEON — whatever the host offers) is pinned via forceImpl and
+ * scoresBatchI8, quantizeI8, dotIntPackedWords, and the widened
+ * matchCountWords dispatch. Every compiled-in implementation (scalar,
+ * AVX2, AVX-512, NEON — whatever the host offers) is pinned via
+ * forceImpl and
  * checked bitwise against a naive reference loop, across lengths
  * that straddle the SIMD block widths and the 64-bit packed words,
  * with misaligned pointers and adversarial contents (saturated int8
@@ -318,6 +319,171 @@ TEST(KernelsQuantized, ScoresBatchI8EmptyBatches)
         kernels::scoresBatchI8(nullptr, 0, rows, 1, 4, nullptr);
         // No rows: same.
         kernels::scoresBatchI8(rows, 1, nullptr, 0, 4, nullptr);
+    }
+}
+
+TEST(KernelsQuantized, ScoresBatchI8EveryClassCountOnEveryImpl)
+{
+    // The vector kernels score four class rows per widened query
+    // block: every row count 1-9 leaves a different remainder tile.
+    // Values span the whole int8 range, -128 included.
+    Rng rng(2031);
+    const auto fullI8 = [&rng](std::size_t n) {
+        std::vector<std::int8_t> v(n);
+        for (auto &x : v)
+            x = static_cast<std::int8_t>(
+                static_cast<int>(rng.nextBelow(256)) - 128);
+        return v;
+    };
+    for (const std::size_t n : {1UL, 15UL, 16UL, 17UL, 31UL, 32UL, 33UL,
+                                63UL, 2000UL}) {
+        for (std::size_t numRows = 1; numRows <= 9; ++numRows) {
+            const std::size_t numQueries = 1 + numRows % 3;
+            std::vector<std::vector<std::int8_t>> queries, rows;
+            std::vector<const std::int8_t *> qptrs, rptrs;
+            for (std::size_t q = 0; q < numQueries; ++q) {
+                queries.push_back(fullI8(n + 1));
+                qptrs.push_back(queries.back().data() + 1);
+            }
+            for (std::size_t r = 0; r < numRows; ++r) {
+                rows.push_back(fullI8(n));
+                rptrs.push_back(rows.back().data());
+            }
+            std::vector<std::int64_t> expected(numQueries * numRows);
+            for (std::size_t q = 0; q < numQueries; ++q)
+                for (std::size_t r = 0; r < numRows; ++r)
+                    expected[q * numRows + r] =
+                        refDotI8I8(qptrs[q], rptrs[r], n);
+            for (const kernels::Impl impl : availableImpls()) {
+                ForcedImpl forced(impl);
+                std::vector<std::int64_t> out(numQueries * numRows, -1);
+                kernels::scoresBatchI8(qptrs.data(), numQueries,
+                                       rptrs.data(), numRows, n,
+                                       out.data());
+                EXPECT_EQ(out, expected)
+                    << "impl=" << kernels::implName(impl) << " n=" << n
+                    << " rows=" << numRows;
+            }
+        }
+    }
+}
+
+TEST(KernelsQuantized, Int8DotsDrainBeforeInt32Wraps)
+{
+    // All -128: every pair-sum is 32768, the largest an int32 lane
+    // gains per step. 270,000 elements cross the drain block, and a
+    // block's lanes together pass 2^32, so a drain that summed the
+    // lanes in int32 would wrap.
+    const std::size_t n = 270000;
+    const std::vector<std::int8_t> a(n, -128);
+    const std::int64_t expected = static_cast<std::int64_t>(n) * 16384;
+    const std::int8_t *q = a.data();
+    const std::int8_t *rows[] = {a.data(), a.data(), a.data(), a.data(),
+                                 a.data()};
+    for (const kernels::Impl impl : availableImpls()) {
+        ForcedImpl forced(impl);
+        EXPECT_EQ(kernels::dotI8I8(a.data(), a.data(), n), expected)
+            << "impl=" << kernels::implName(impl);
+        std::vector<std::int64_t> out(5, -1);
+        kernels::scoresBatchI8(&q, 1, rows, 5, n, out.data());
+        EXPECT_EQ(out, std::vector<std::int64_t>(5, expected))
+            << "impl=" << kernels::implName(impl);
+    }
+}
+
+/** Every Impl's quantizeI8 of @p row equals the scalar reference:
+ * the same scale bits and the same int8 bytes. */
+void
+expectQuantizeI8MatchesScalar(const std::vector<std::int32_t> &row,
+                              const char *what)
+{
+    const std::size_t n = row.size();
+    std::vector<std::int8_t> expected(n + 1, 0x55);
+    kernels::forceImpl(kernels::Impl::kScalar);
+    const double scale = kernels::quantizeI8(row.data(), n,
+                                             expected.data());
+    kernels::clearForcedImpl();
+    for (const kernels::Impl impl : availableImpls()) {
+        ForcedImpl forced(impl);
+        // One byte past the end must stay untouched.
+        std::vector<std::int8_t> out(n + 1, 0x55);
+        const double got = kernels::quantizeI8(row.data(), n, out.data());
+        EXPECT_EQ(std::memcmp(&got, &scale, sizeof(double)), 0)
+            << what << " impl=" << kernels::implName(impl) << " n=" << n;
+        EXPECT_EQ(out, expected)
+            << what << " impl=" << kernels::implName(impl) << " n=" << n;
+    }
+}
+
+TEST(KernelsQuantized, QuantizeI8MatchesScalarOnEveryImpl)
+{
+    Rng rng(2032);
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 0; n <= 67; ++n)
+        lengths.push_back(n);
+    lengths.push_back(2000);
+    for (const std::size_t n : lengths) {
+        // Magnitudes from tiny to the full int32 range, so the scale
+        // and the rounding of r both vary.
+        for (const std::uint64_t range :
+             {3ULL, 1000ULL, 123457ULL, 4294967295ULL}) {
+            std::vector<std::int32_t> row(n);
+            for (auto &v : row)
+                v = static_cast<std::int32_t>(
+                    static_cast<std::int64_t>(rng.nextBelow(range)) -
+                    static_cast<std::int64_t>(range / 2));
+            expectQuantizeI8MatchesScalar(row, "random");
+        }
+    }
+}
+
+TEST(KernelsQuantized, QuantizeI8EdgeRows)
+{
+    for (const std::size_t n : {1UL, 7UL, 16UL, 17UL, 33UL, 2000UL}) {
+        // All zero: scale 1.0 and every byte 0.
+        const std::vector<std::int32_t> zeros(n, 0);
+        std::vector<std::int8_t> out(n, 0x55);
+        for (const kernels::Impl impl : availableImpls()) {
+            ForcedImpl forced(impl);
+            EXPECT_EQ(kernels::quantizeI8(zeros.data(), n, out.data()),
+                      1.0)
+                << kernels::implName(impl);
+            EXPECT_EQ(out, std::vector<std::int8_t>(n, 0))
+                << kernels::implName(impl);
+        }
+        expectQuantizeI8MatchesScalar(zeros, "zeros");
+
+        // INT32_MIN and INT32_MAX: |INT32_MIN| = 2^31 must be the
+        // max-abs, exactly.
+        std::vector<std::int32_t> extremes(n);
+        for (std::size_t i = 0; i < n; ++i)
+            extremes[i] = i % 3 == 0   ? INT32_MIN
+                          : i % 3 == 1 ? INT32_MAX
+                                       : static_cast<std::int32_t>(i);
+        expectQuantizeI8MatchesScalar(extremes, "extremes");
+        std::vector<std::int8_t> q(n);
+        EXPECT_EQ(kernels::quantizeI8(extremes.data(), n, q.data()),
+                  2147483648.0 / 127.0);
+        EXPECT_EQ(q[0], -127);
+
+        // max-abs 254 gives scale 2 and inv 0.5, so every odd value
+        // lands on an exact half and rounds away from zero.
+        std::vector<std::int32_t> halves(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto odd = static_cast<std::int32_t>(2 * (i % 127) + 1);
+            halves[i] = i == 0 ? 254 : i % 2 ? -odd : odd;
+        }
+        expectQuantizeI8MatchesScalar(halves, "halves");
+        for (const kernels::Impl impl : availableImpls()) {
+            ForcedImpl forced(impl);
+            EXPECT_EQ(kernels::quantizeI8(halves.data(), n, q.data()),
+                      2.0);
+            for (std::size_t i = 1; i < n; ++i) {
+                const std::int32_t v = halves[i];
+                EXPECT_EQ(q[i], v > 0 ? (v + 1) / 2 : (v - 1) / 2)
+                    << kernels::implName(impl) << " v=" << v;
+            }
+        }
     }
 }
 

@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "hdc/kernels.hpp"
 #include "hdc/similarity.hpp"
 #include "lookhd/lookup_encoder.hpp"
 #include "quant/quantizer_bank.hpp"
@@ -17,6 +18,7 @@ namespace {
 
 using namespace lookhd;
 using namespace lookhd::hdc;
+namespace kernels = lookhd::hdc::kernels;
 
 const std::vector<double> kUnitRange{0.0, 1.0};
 
@@ -103,6 +105,53 @@ TEST(LookupEncoder, HandlesRaggedTailChunk)
     EXPECT_EQ(fx.encoder->tableFor(0).chunkLen(), 5u);
     const auto features = fx.randomFeatures(13);
     EXPECT_EQ(fx.encoder->encode(features), fx.manualEncode(features));
+}
+
+TEST(LookupEncoder, EveryImplEncodesAsDirectEquations)
+{
+    // One chunk (m = 1) and PHYSICAL's 11 (52 features, a ragged tail
+    // of 2), plus more chunks than one kernel pass sums; dimensions
+    // that are not a multiple of any vector width; materialized and
+    // lazily computed tables. encode(), encodeInto() into a reused
+    // buffer and encodeFromAddresses() must all give Eqs. 2-3 under
+    // every kernel Impl.
+    LookupEncoderConfig lazy;
+    lazy.materializeBudgetBytes = 0;
+    const struct
+    {
+        Dim dim;
+        std::size_t n;
+        std::size_t r;
+        LookupEncoderConfig cfg;
+    } shapes[] = {
+        {3, 3, 5, {}},      {17, 4, 5, {}},   {2000, 52, 5, {}},
+        {1001, 52, 5, lazy}, {65, 88, 5, {}}, {127, 88, 5, lazy},
+    };
+    for (const auto &shape : shapes) {
+        Fixture fx(shape.dim, 2, shape.n, shape.r, 29, shape.cfg);
+        IntHv reused;
+        for (int trial = 0; trial < 4; ++trial) {
+            const auto features = fx.randomFeatures(shape.n);
+            const IntHv expected = fx.manualEncode(features);
+            const auto addrs = fx.encoder->chunkAddresses(features);
+            for (const kernels::Impl impl :
+                 {kernels::Impl::kScalar, kernels::Impl::kAvx2,
+                  kernels::Impl::kAvx512, kernels::Impl::kNeon}) {
+                if (!kernels::implAvailable(impl))
+                    continue;
+                kernels::forceImpl(impl);
+                EXPECT_EQ(fx.encoder->encode(features), expected)
+                    << kernels::implName(impl) << " D=" << shape.dim
+                    << " n=" << shape.n;
+                fx.encoder->encodeInto(features, reused);
+                EXPECT_EQ(reused, expected) << kernels::implName(impl);
+                EXPECT_EQ(fx.encoder->encodeFromAddresses(addrs),
+                          expected)
+                    << kernels::implName(impl);
+                kernels::clearForcedImpl();
+            }
+        }
+    }
 }
 
 TEST(LookupEncoder, ChunkAddressesMatchQuantizedLevels)

@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "data/apps.hpp"
 #include "data/synthetic.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/kernels.hpp"
@@ -172,6 +174,76 @@ TEST(QuantizedServing, QuantizedScoresBitIdenticalAcrossImpls)
                 << " impl=" << kernels::implName(impl);
         }
     }
+}
+
+/** FNV-1a over the bytes of @p scores, continuing from @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const std::vector<double> &scores)
+{
+    const auto *bytes =
+        reinterpret_cast<const unsigned char *>(scores.data());
+    for (std::size_t i = 0; i < scores.size() * sizeof(double); ++i) {
+        h ^= bytes[i];
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(QuantizedServingGolden, ScoresMatchHashesOfTheScalarLoopBuild)
+{
+    // A PHYSICAL-shape model (52 features, 12 classes, D = 2000,
+    // q = 2, r = 5: 11 chunks, the last one 2 features wide) scoring
+    // 200 held-out rows. The hashes were recorded from the build
+    // before the int8 path was vectorized (per-chunk encode
+    // accumulate, scalar query quantization, untiled int8 dot), so
+    // they pin the old bits, not only agreement across Impls: per
+    // row, and in batches at 1 and 4 threads, under every Impl.
+    constexpr std::uint64_t kBasis = 0xcbf29ce484222325ULL;
+    const data::AppSpec &app = data::appByName("PHYSICAL");
+    const data::TrainTest tt =
+        data::makeTrainTest(app.synthetic(11), 600, 200);
+    ClassifierConfig cfg;
+    cfg.dim = 2000;
+    cfg.quantLevels = 2;
+    cfg.chunkSize = 5;
+    Classifier clf(cfg);
+    clf.fit(tt.train);
+    const auto rows = rowsOf(tt.test, 200);
+    ASSERT_EQ(rows.size(), 200u);
+    const struct
+    {
+        Precision precision;
+        std::uint64_t hash;
+    } cases[] = {
+        {Precision::kInt8, 0xe3c90fc90b3ecf07ULL},
+        {Precision::kBinary, 0xca1e8a5e469d9390ULL},
+    };
+    for (const kernels::Impl impl :
+         {kernels::Impl::kScalar, kernels::Impl::kAvx2,
+          kernels::Impl::kAvx512, kernels::Impl::kNeon}) {
+        if (!kernels::implAvailable(impl))
+            continue;
+        kernels::forceImpl(impl);
+        for (const auto &c : cases) {
+            clf.setServingPrecision(c.precision);
+            std::uint64_t single = kBasis;
+            for (const auto row : rows)
+                single = fnv1a(single, clf.scores(row));
+            EXPECT_EQ(single, c.hash)
+                << kernels::implName(impl) << " "
+                << precisionName(c.precision);
+            for (const std::size_t threads : {1UL, 4UL}) {
+                std::uint64_t batch = kBasis;
+                for (const auto &s : clf.scoresBatch(rows, threads))
+                    batch = fnv1a(batch, s);
+                EXPECT_EQ(batch, c.hash)
+                    << kernels::implName(impl) << " "
+                    << precisionName(c.precision) << " threads "
+                    << threads;
+            }
+        }
+    }
+    kernels::clearForcedImpl();
 }
 
 TEST(QuantizedServing, PredictBatchConsistentWithScores)

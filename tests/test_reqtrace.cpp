@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <sstream>
 #include <string>
@@ -243,6 +244,58 @@ TEST(SlowRequestLog, ConcurrentWritersKeepSeqUnique)
         [](const SlowRequestRecord &a, const SlowRequestRecord &b) {
             return a.seq < b.seq;
         }));
+}
+
+TEST(SlowRequestLog, FlushesRacingWritersExactlyOnce)
+{
+    // A flush that runs while writers record must not move its
+    // watermark past a record that is not in a ring yet: each record
+    // reaches the file exactly once. The rings hold every record, so
+    // none may be missing at the end.
+    constexpr int kThreads = 3;
+    constexpr int kPerThread = 4000;
+    constexpr std::uint64_t kTotal = kThreads * kPerThread;
+    for (int round = 0; round < 5; ++round) {
+        SlowRequestLog log(kPerThread);
+        std::atomic<int> running{kThreads};
+        std::vector<std::thread> writers;
+        writers.reserve(kThreads);
+        for (int t = 0; t < kThreads; ++t) {
+            writers.emplace_back([&log, &running] {
+                for (int i = 0; i < kPerThread; ++i)
+                    log.record(SlowRequestRecord{});
+                running.fetch_sub(1);
+            });
+        }
+        std::ostringstream file;
+        std::uint64_t mark = 0;
+        while (running.load() > 0)
+            mark = log.writeJsonLines(file, mark);
+        for (std::thread &writer : writers)
+            writer.join();
+        mark = log.writeJsonLines(file, mark);
+        EXPECT_EQ(mark, kTotal);
+
+        std::vector<int> written(kTotal + 1, 0);
+        std::istringstream lines(file.str());
+        std::string line;
+        while (std::getline(lines, line)) {
+            const std::size_t at = line.find("\"seq\":");
+            ASSERT_NE(at, std::string::npos) << line;
+            const std::uint64_t seq = std::stoull(line.substr(at + 6));
+            ASSERT_GE(seq, 1u);
+            ASSERT_LE(seq, kTotal);
+            ++written[seq];
+        }
+        std::size_t missing = 0;
+        std::size_t repeated = 0;
+        for (std::uint64_t seq = 1; seq <= kTotal; ++seq) {
+            missing += written[seq] == 0;
+            repeated += written[seq] > 1;
+        }
+        EXPECT_EQ(missing, 0u) << "round " << round;
+        EXPECT_EQ(repeated, 0u) << "round " << round;
+    }
 }
 
 } // namespace
