@@ -169,9 +169,8 @@ main(int argc, char **argv)
     // starts a thread only for enough work to pay for its start-up,
     // so a batch too small for four runs on fewer (or inline) rather
     // than slower. The thread cap weighs a quantized operation by the
-    // active kernel table, so int8 runs on every table this host has,
-    // and binary on the best. Printed, not gated: it shows where the
-    // cap falls.
+    // active kernel table, so int8 and binary run on every table this
+    // host has. Printed, not gated: it shows where the cap falls.
     const data::AppSpec &physicalApp = data::appByName("PHYSICAL");
     const auto physicalData = bench::appData(physicalApp, 23);
     Classifier physical(bench::appConfig(physicalApp));
@@ -190,13 +189,13 @@ main(int argc, char **argv)
         Precision precision;
         kernels::Impl impl;
     };
-    std::vector<SmallForm> smallForms = {
-        {Precision::kBinary, kernels::activeImpl()}};
-    for (const kernels::Impl impl :
-         {kernels::Impl::kAvx512, kernels::Impl::kAvx2,
-          kernels::Impl::kNeon, kernels::Impl::kScalar})
-        if (kernels::implAvailable(impl))
-            smallForms.push_back({Precision::kInt8, impl});
+    std::vector<SmallForm> smallForms;
+    for (const Precision precision : {Precision::kInt8, Precision::kBinary})
+        for (const kernels::Impl impl :
+             {kernels::Impl::kAvx512, kernels::Impl::kAvx2,
+              kernels::Impl::kNeon, kernels::Impl::kScalar})
+            if (kernels::implAvailable(impl))
+                smallForms.push_back({precision, impl});
     util::Table small({"app", "form", "kernel", "rows",
                        "us/batch 1 thread", "us/batch 4 threads"});
     for (const SmallCase &c : smallCases) {

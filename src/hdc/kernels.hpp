@@ -17,9 +17,9 @@
  *    used by class scoring;
  *  - mulIntReal: the element-wise product of compressed-model
  *    unbinding;
- *  - addSignedRows: the key-signed sum of many int32 rows in one
- *    register-blocked pass (the lookup encoder's Eq. 3 bind + sum,
- *    and counter training's chunk aggregation);
+ *  - addSignedRows: the key-signed sum of many int8 chunk rows into
+ *    int32 sums in one register-blocked pass, each key a sign-packed
+ *    bit row (the lookup encoder's Eq. 3 bind + sum);
  *  - quantizeI8: an int32 query row to int8 at its own max-abs/127
  *    scale (the int8 serving path's per-request quantization);
  *  - matchCountWords: the popcount word loop behind every packed
@@ -50,10 +50,15 @@
  *
  * Why the int8 serving path is bit-identical across implementations
  * (and to the per-chunk and scalar-loop code these kernels replaced):
- *  - addSignedRows sums int32 products of +-1 keys; integer addition
- *    is exact and associative, so summing all rows one block of
- *    dimensions at a time, and applying the key with vpsignd or a
- *    masked negate instead of vpmulld, gives the same int32 sums;
+ *  - addSignedRows adds +-row[i] for every row, and integer addition
+ *    is exact and associative, so any blocking, lane order or key
+ *    application (a branch-free negate, vpsignb, a masked subtract)
+ *    gives the same int32 sums. A chunk-row element is a sum of r <= 63
+ *    bipolar entries, so it lies in [-63, 63] and holds in int8 (and
+ *    its negation too); the vector tables sum the signed bytes in
+ *    int16 lanes, which stay exact for 258 rows of |v| <= 127 (258 *
+ *    127 = 32766), and widen them into the int32 sums at least every
+ *    256 rows, so every count gives the scalar sums;
  *  - quantizeI8 computes every element as one fixed IEEE expression,
  *    int(double(v) * inv + copysign(0.5, double(v) * inv)), with a
  *    separate multiply and add (no FMA contraction: every kernel TU
@@ -151,13 +156,15 @@ void mulIntReal(const std::int32_t *a, const double *b, double *out,
                 std::size_t n);
 
 /**
- * acc[i] += sum over t < count of rows[t][i] * signs[t][i], for every
- * i < n; signs are +-1 (a bipolar key) and the sums must fit int32.
+ * acc[i] += sum over t < count of (bit i of signs[t] set ? rows[t][i]
+ * : -rows[t][i]), for every i < n. Bit i lives in signs[t][i / 64] >>
+ * (i % 64) (the PackedHv convention: set = +1); bits at and above n
+ * are ignored. @pre every |rows[t][i]| <= 127 and the sums fit int32.
  * The encoder's Eq. 3 aggregation: each block of dimensions is read
  * and written once however many rows are summed into it.
  */
-void addSignedRows(std::int32_t *acc, const std::int32_t *const *rows,
-                   const std::int8_t *const *signs, std::size_t count,
+void addSignedRows(std::int32_t *acc, const std::int8_t *const *rows,
+                   const std::uint64_t *const *signs, std::size_t count,
                    std::size_t n);
 
 /**
@@ -214,6 +221,12 @@ void accumulateRows(double *acc, const double *const *rows,
 
 namespace detail {
 
+/**
+ * Rows a vector addSignedRows sums in int16 lanes before it widens
+ * them into the int32 sums: 256 * 127 = 32512 fits int16.
+ */
+inline constexpr std::size_t kRowsPerWiden = 256;
+
 /** One implementation's function table (internal; see kernels.cpp). */
 struct KernelTable
 {
@@ -233,8 +246,8 @@ struct KernelTable
                         std::size_t);
     void (*mulIntReal)(const std::int32_t *, const double *, double *,
                        std::size_t);
-    void (*addSignedRows)(std::int32_t *, const std::int32_t *const *,
-                          const std::int8_t *const *, std::size_t,
+    void (*addSignedRows)(std::int32_t *, const std::int8_t *const *,
+                          const std::uint64_t *const *, std::size_t,
                           std::size_t);
     double (*quantizeI8)(const std::int32_t *, std::size_t,
                          std::int8_t *);

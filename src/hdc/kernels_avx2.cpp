@@ -193,53 +193,99 @@ mulIntRealAvx2(const std::int32_t *a, const double *b, double *out,
 }
 
 /**
- * Lanes [off, off + 8 * NV) of addSignedRows, held in registers
- * across every row: each block is read and written once. vpsignd
- * applies a +-1 key exactly as the scalar multiply does.
+ * The bytes vpsignb needs for 32 key bits: +1 where bit j of @p bits
+ * is set, -1 where it is clear. Byte j tests bit j % 8 of byte j / 8.
+ */
+__m256i
+signBytes(std::uint32_t bits)
+{
+    const __m256i spread = _mm256_shuffle_epi8(
+        _mm256_set1_epi32(static_cast<int>(bits)),
+        _mm256_setr_epi8(0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,
+                         2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3));
+    const __m256i bit = _mm256_set1_epi64x(0x8040201008040201);
+    const __m256i clear = _mm256_cmpeq_epi8(_mm256_and_si256(spread, bit),
+                                            _mm256_setzero_si256());
+    return _mm256_or_si256(clear, _mm256_set1_epi8(1));
+}
+
+/** acc[0, 32) += the 32 int16 sums in lo (lanes 0-15) and hi. */
+void
+addWidened(std::int32_t *acc, __m256i lo, __m256i hi)
+{
+    const __m256i parts[4] = {
+        _mm256_cvtepi16_epi32(_mm256_castsi256_si128(lo)),
+        _mm256_cvtepi16_epi32(_mm256_extracti128_si256(lo, 1)),
+        _mm256_cvtepi16_epi32(_mm256_castsi256_si128(hi)),
+        _mm256_cvtepi16_epi32(_mm256_extracti128_si256(hi, 1))};
+    for (std::size_t j = 0; j < 4; ++j) {
+        auto *p = reinterpret_cast<__m256i *>(acc + 8 * j);
+        _mm256_storeu_si256(
+            p, _mm256_add_epi32(_mm256_loadu_si256(p), parts[j]));
+    }
+}
+
+/**
+ * Dimensions [off, off + 32 * NV) of addSignedRows (off a multiple of
+ * 32): each row's bytes are signed by their key bits with vpsignb and
+ * summed in two int16 accumulators per 32 dimensions, which are
+ * widened into the int32 sums every kRowsPerWiden rows.
  */
 template <std::size_t NV>
 void
-addSignedRowsBlock(std::int32_t *acc, const std::int32_t *const *rows,
-                   const std::int8_t *const *signs, std::size_t count,
+addSignedRowsBlock(std::int32_t *acc, const std::int8_t *const *rows,
+                   const std::uint64_t *const *signs, std::size_t count,
                    std::size_t off)
 {
-    __m256i a[NV];
+    for (std::size_t first = 0; first < count;
+         first += detail::kRowsPerWiden) {
+        const std::size_t last =
+            std::min(count, first + detail::kRowsPerWiden);
+        __m256i lo[NV], hi[NV];
 #pragma GCC unroll 8
-    for (std::size_t v = 0; v < NV; ++v)
-        a[v] = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(acc + off + 8 * v));
-    for (std::size_t t = 0; t < count; ++t) {
-        const std::int32_t *row = rows[t] + off;
-        const std::int8_t *s = signs[t] + off;
+        for (std::size_t v = 0; v < NV; ++v)
+            lo[v] = hi[v] = _mm256_setzero_si256();
+        for (std::size_t t = first; t < last; ++t) {
+            const std::int8_t *row = rows[t] + off;
 #pragma GCC unroll 8
-        for (std::size_t v = 0; v < NV; ++v) {
-            const __m256i r = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(row + 8 * v));
-            const __m256i key = _mm256_cvtepi8_epi32(_mm_loadl_epi64(
-                reinterpret_cast<const __m128i *>(s + 8 * v)));
-            a[v] = _mm256_add_epi32(a[v], _mm256_sign_epi32(r, key));
+            for (std::size_t v = 0; v < NV; ++v) {
+                const std::size_t i = off + 32 * v;
+                const __m256i x = _mm256_sign_epi8(
+                    _mm256_loadu_si256(
+                        reinterpret_cast<const __m256i *>(row + 32 * v)),
+                    signBytes(static_cast<std::uint32_t>(
+                        signs[t][i / 64] >> (i % 64))));
+                lo[v] = _mm256_add_epi16(
+                    lo[v], _mm256_cvtepi8_epi16(_mm256_castsi256_si128(x)));
+                hi[v] = _mm256_add_epi16(
+                    hi[v],
+                    _mm256_cvtepi8_epi16(_mm256_extracti128_si256(x, 1)));
+            }
         }
-    }
 #pragma GCC unroll 8
-    for (std::size_t v = 0; v < NV; ++v)
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(acc + off + 8 * v), a[v]);
+        for (std::size_t v = 0; v < NV; ++v)
+            addWidened(acc + off + 32 * v, lo[v], hi[v]);
+    }
 }
 
 void
-addSignedRowsAvx2(std::int32_t *acc, const std::int32_t *const *rows,
-                  const std::int8_t *const *signs, std::size_t count,
+addSignedRowsAvx2(std::int32_t *acc, const std::int8_t *const *rows,
+                  const std::uint64_t *const *signs, std::size_t count,
                   std::size_t n)
 {
     std::size_t i = 0;
+    for (; i + 64 <= n; i += 64)
+        addSignedRowsBlock<2>(acc, rows, signs, count, i);
     for (; i + 32 <= n; i += 32)
-        addSignedRowsBlock<4>(acc, rows, signs, count, i);
-    for (; i + 8 <= n; i += 8)
         addSignedRowsBlock<1>(acc, rows, signs, count, i);
     for (; i < n; ++i) {
         std::int32_t a = acc[i];
         for (std::size_t t = 0; t < count; ++t)
-            a += rows[t][i] * signs[t][i];
+            a += rows[t][i] *
+                 (static_cast<std::int32_t>((signs[t][i / 64] >> (i % 64)) &
+                                            1) *
+                      2 -
+                  1);
         acc[i] = a;
     }
 }

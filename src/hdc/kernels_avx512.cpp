@@ -187,69 +187,86 @@ matchCountWordsVpopcnt(const std::uint64_t *a, const std::uint64_t *b,
 }
 
 /**
- * Lanes [off, off + 16 * NV) of addSignedRows, in registers across
- * every row. The sign bits of a row's 16 key bytes become a lane
- * mask, and masked lanes take 0 - row: for a +-1 key that is the
- * scalar product row * key, so the int32 sums are the scalar ones.
+ * acc[0, 64) += the 64 int16 sums in lo (lanes 0-31) and hi; lanes
+ * outside @p live are neither read nor written.
+ */
+LOOKHD_AVX512_TARGET void
+addWidened(std::int32_t *acc, __m512i lo, __m512i hi, std::uint64_t live)
+{
+    const __m512i parts[4] = {
+        _mm512_cvtepi16_epi32(_mm512_castsi512_si256(lo)),
+        _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64(lo, 1)),
+        _mm512_cvtepi16_epi32(_mm512_castsi512_si256(hi)),
+        _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64(hi, 1))};
+    for (std::size_t j = 0; j < 4; ++j) {
+        const auto m = static_cast<__mmask16>(live >> (16 * j));
+        std::int32_t *p = acc + 16 * j;
+        _mm512_mask_storeu_epi32(
+            p, m,
+            _mm512_add_epi32(_mm512_maskz_loadu_epi32(m, p), parts[j]));
+    }
+}
+
+/**
+ * Dimensions [off, off + 64 * NV) of addSignedRows (off a multiple of
+ * 64); of the last 64, only the lanes set in @p live are read or
+ * written. A row's inverted key word is the byte mask of a masked
+ * 0 - r (exact for |r| <= 127), and the signed bytes are summed in two
+ * int16 accumulators per 64 dimensions, which are widened into the
+ * int32 sums every kRowsPerWiden rows.
  */
 template <std::size_t NV>
 LOOKHD_AVX512_TARGET void
-addSignedRowsBlock(std::int32_t *acc, const std::int32_t *const *rows,
-                   const std::int8_t *const *signs, std::size_t count,
-                   std::size_t off)
+addSignedRowsBlock(std::int32_t *acc, const std::int8_t *const *rows,
+                   const std::uint64_t *const *signs, std::size_t count,
+                   std::size_t off, std::uint64_t live)
 {
     const __m512i zero = _mm512_setzero_si512();
-    __m512i a[NV];
+    for (std::size_t first = 0; first < count;
+         first += detail::kRowsPerWiden) {
+        const std::size_t last =
+            std::min(count, first + detail::kRowsPerWiden);
+        __m512i lo[NV], hi[NV];
 #pragma GCC unroll 8
-    for (std::size_t v = 0; v < NV; ++v)
-        a[v] = _mm512_loadu_si512(acc + off + 16 * v);
-    for (std::size_t t = 0; t < count; ++t) {
-        const std::int32_t *row = rows[t] + off;
-        // The sign bits of the block's 16 * NV key bytes, 16 per lane
-        // group.
-        const std::uint64_t neg =
-            _mm512_movepi8_mask(_mm512_maskz_loadu_epi8(
-                NV == 4 ? ~std::uint64_t{0}
-                        : (std::uint64_t{1} << (16 * NV)) - 1,
-                signs[t] + off));
+        for (std::size_t v = 0; v < NV; ++v)
+            lo[v] = hi[v] = zero;
+        for (std::size_t t = first; t < last; ++t) {
+            const std::int8_t *row = rows[t] + off;
+            const std::uint64_t *s = signs[t] + off / 64;
 #pragma GCC unroll 8
-        for (std::size_t v = 0; v < NV; ++v) {
-            const __m512i r = _mm512_loadu_si512(row + 16 * v);
-            a[v] = _mm512_add_epi32(
-                a[v], _mm512_mask_sub_epi32(
-                          r, static_cast<__mmask16>(neg >> (16 * v)),
-                          zero, r));
+            for (std::size_t v = 0; v < NV; ++v) {
+                const __m512i r = _mm512_maskz_loadu_epi8(
+                    v + 1 == NV ? live : ~std::uint64_t{0}, row + 64 * v);
+                const __m512i x = _mm512_mask_sub_epi8(r, ~s[v], zero, r);
+                lo[v] = _mm512_add_epi16(
+                    lo[v], _mm512_cvtepi8_epi16(_mm512_castsi512_si256(x)));
+                hi[v] = _mm512_add_epi16(
+                    hi[v],
+                    _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64(x, 1)));
+            }
         }
-    }
 #pragma GCC unroll 8
-    for (std::size_t v = 0; v < NV; ++v)
-        _mm512_storeu_si512(acc + off + 16 * v, a[v]);
+        for (std::size_t v = 0; v < NV; ++v)
+            addWidened(acc + off + 64 * v, lo[v], hi[v],
+                       v + 1 == NV ? live : ~std::uint64_t{0});
+    }
 }
 
 LOOKHD_AVX512_TARGET void
-addSignedRowsAvx512(std::int32_t *acc, const std::int32_t *const *rows,
-                    const std::int8_t *const *signs, std::size_t count,
+addSignedRowsAvx512(std::int32_t *acc, const std::int8_t *const *rows,
+                    const std::uint64_t *const *signs, std::size_t count,
                     std::size_t n)
 {
+    const std::uint64_t all = ~std::uint64_t{0};
     std::size_t i = 0;
+    for (; i + 256 <= n; i += 256)
+        addSignedRowsBlock<4>(acc, rows, signs, count, i, all);
     for (; i + 64 <= n; i += 64)
-        addSignedRowsBlock<4>(acc, rows, signs, count, i);
-    for (; i + 16 <= n; i += 16)
-        addSignedRowsBlock<1>(acc, rows, signs, count, i);
-    if (i == n)
-        return;
-    // The last n % 16 lanes: masked-off lanes load as zero (key bytes
-    // too, so they are never negated) and are not stored.
-    const auto live = static_cast<__mmask16>((1u << (n - i)) - 1);
-    const __m512i zero = _mm512_setzero_si512();
-    __m512i a = _mm512_maskz_loadu_epi32(live, acc + i);
-    for (std::size_t t = 0; t < count; ++t) {
-        const __mmask16 neg =
-            _mm_movepi8_mask(_mm_maskz_loadu_epi8(live, signs[t] + i));
-        const __m512i r = _mm512_maskz_loadu_epi32(live, rows[t] + i);
-        a = _mm512_add_epi32(a, _mm512_mask_sub_epi32(r, neg, zero, r));
-    }
-    _mm512_mask_storeu_epi32(acc + i, live, a);
+        addSignedRowsBlock<1>(acc, rows, signs, count, i, all);
+    // The last n % 64 lanes: masked-off row bytes load as zero, so
+    // key bits past n never matter, and their sums are not stored.
+    if (i < n)
+        addSignedRowsBlock<1>(acc, rows, signs, count, i, tailMask64(n));
 }
 
 /** quantizeI8's element expression for eight lanes, as int32. */

@@ -27,21 +27,24 @@ constexpr std::size_t kMinWorkPerThread = std::size_t{1} << 17;
 /**
  * Quantized element operations per work unit. A quantized row gathers
  * and binds D elements per chunk and scores D per class, D * (chunks
- * + k) operations. The AVX2 and AVX-512 tables run them at 0.09-0.23
- * ns each (PHYSICAL int8: about 4.3 us for 46,000; binary 6-9 us),
- * so three make a unit and a thread still gets at least 35 us.
- * The scalar table takes about 0.6 ns (PHYSICAL int8: about 28 us),
- * one to a unit; NEON encodes and quantizes with the scalar entries
- * and keeps that weight too.
+ * + k) operations. bench_batch_predict's small batches (int8 and
+ * binary, PHYSICAL and SPEECH) run them at 0.043-0.12 ns each on the
+ * AVX-512 table and 0.065-0.14 ns on AVX2, so six and four make a
+ * unit and a thread gets about 35 us of work at the fastest. The
+ * scalar table takes 0.34-0.53 ns, one to a unit; NEON encodes and
+ * quantizes with the scalar entries and keeps that weight too.
  */
 std::size_t
 quantizedOpsPerUnit()
 {
-    const hdc::kernels::Impl impl = hdc::kernels::activeImpl();
-    return impl == hdc::kernels::Impl::kAvx2 ||
-                   impl == hdc::kernels::Impl::kAvx512
-               ? 3
-               : 1;
+    switch (hdc::kernels::activeImpl()) {
+    case hdc::kernels::Impl::kAvx512:
+        return 6;
+    case hdc::kernels::Impl::kAvx2:
+        return 4;
+    default:
+        return 1;
+    }
 }
 
 } // namespace

@@ -73,7 +73,7 @@ tableFits(std::size_t q, std::size_t r, std::size_t dim,
 {
     // q^r might overflow; probe multiplicatively against the budget
     // instead of computing it outright.
-    const std::size_t bytes_per_row = dim * sizeof(std::int32_t);
+    const std::size_t bytes_per_row = dim * sizeof(std::int8_t);
     if (bytes_per_row == 0)
         return false;
     const std::size_t max_rows = budget_bytes / bytes_per_row;

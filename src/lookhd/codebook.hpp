@@ -52,8 +52,9 @@ void decodeAddress(Address addr, std::size_t q,
 Address addressSpace(std::size_t q, std::size_t r);
 
 /**
- * Whether a q^r-entry table of D int32 elements fits within
- * @p budget_bytes (used to pick materialized vs on-the-fly encoding).
+ * Whether a q^r-entry table of D int8 elements (one byte each, as
+ * ChunkLookupTable stores them) fits within @p budget_bytes (used to
+ * pick materialized vs on-the-fly encoding).
  */
 bool tableFits(std::size_t q, std::size_t r, std::size_t dim,
                std::size_t budget_bytes);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "hdc/kernels.hpp"
 #include "obs/obs.hpp"
 #include "par/thread_pool.hpp"
 #include "util/check.hpp"
@@ -237,7 +236,7 @@ CounterTrainer::finalize(const CounterBank &bank) const
     // touched from worker threads.
     std::vector<hdc::IntHv> classHvs(k, hdc::IntHv(encoder_.dim(), 0));
     const auto buildClasses = [&](std::size_t lo, std::size_t hi) {
-        hdc::IntHv scratch;
+        std::vector<std::int8_t> scratch;
         for (std::size_t cls = lo; cls < hi; ++cls) {
             hdc::IntHv &class_hv = classHvs[cls];
             for (std::size_t ch = 0; ch < m; ++ch) {
@@ -247,7 +246,7 @@ CounterTrainer::finalize(const CounterBank &bank) const
                 const ChunkLookupTable &table = encoder_.tableFor(ch);
                 bank.at(cls, ch).forEach(
                     [&](Address addr, std::uint32_t cnt) {
-                        const hdc::IntHv &row =
+                        const std::span<const std::int8_t> row =
                             table.row(addr, scratch);
                         const auto w = static_cast<std::int32_t>(cnt);
                         for (std::size_t d = 0; d < chunk_acc.size();
@@ -256,11 +255,10 @@ CounterTrainer::finalize(const CounterBank &bank) const
                     });
                 // Chunk aggregation: bind the position key and
                 // accumulate.
-                const std::int32_t *rows[] = {chunk_acc.data()};
-                const std::int8_t *keys[] = {
-                    encoder_.positionKeys().at(ch).data()};
-                hdc::kernels::addSignedRows(class_hv.data(), rows, keys,
-                                            1, class_hv.size());
+                const hdc::BipolarHv &key =
+                    encoder_.positionKeys().at(ch);
+                for (std::size_t d = 0; d < class_hv.size(); ++d)
+                    class_hv[d] += chunk_acc[d] * key[d];
             }
         }
     };

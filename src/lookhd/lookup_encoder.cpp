@@ -18,6 +18,45 @@ namespace {
  */
 constexpr std::size_t kRowsPerPass = 16;
 
+/** Sign words per packed key of @p dim elements. */
+constexpr std::size_t
+keyWordsOf(std::size_t dim)
+{
+    return (dim + 63) / 64;
+}
+
+/**
+ * Appends the sign words of bipolar @p key to @p out: bit i set iff
+ * key[i] = +1. Eight bytes at a time and without a branch on the key:
+ * +1 is 0x01 and -1 is 0xFF, so a byte's top bit is its inverted sign,
+ * and one multiply gathers the eight top bits into the top byte.
+ */
+void
+appendSignWords(const hdc::BipolarHv &key, std::vector<std::uint64_t> &out)
+{
+    constexpr std::uint64_t kOnes = 0x0101010101010101;
+    const std::size_t first = out.size();
+    out.resize(first + keyWordsOf(key.size()), 0);
+    std::uint64_t *words = out.data() + first;
+    std::uint64_t notBipolar = 0;
+    std::size_t i = 0;
+    for (; i + 8 <= key.size(); i += 8) {
+        std::uint64_t bytes = 0;
+        for (std::size_t b = 0; b < 8; ++b)
+            bytes |= std::uint64_t{static_cast<std::uint8_t>(key[i + b])}
+                     << (8 * b);
+        const std::uint64_t top = (bytes >> 7) & kOnes;
+        notBipolar |= bytes ^ (kOnes | top * 0xFE);
+        const std::uint64_t negative = (top * 0x0102040810204080) >> 56;
+        words[i / 64] |= (~negative & 0xFF) << (i % 64);
+    }
+    for (; i < key.size(); ++i) {
+        notBipolar |= key[i] != 1 && key[i] != -1;
+        words[i / 64] |= std::uint64_t{key[i] > 0} << (i % 64);
+    }
+    LOOKHD_CHECK(notBipolar == 0, "position keys must be bipolar");
+}
+
 } // namespace
 
 LookupEncoder::LookupEncoder(
@@ -47,6 +86,9 @@ LookupEncoder::LookupEncoder(
                  "position key count does not match chunk count");
     LOOKHD_CHECK(positions_.dim() == levels_->dim(),
                  "position key dimensionality mismatch");
+    keySigns_.reserve(positions_.count() * keyWordsOf(dim()));
+    for (std::size_t c = 0; c < positions_.count(); ++c)
+        appendSignWords(positions_.at(c), keySigns_);
 
     const std::size_t full_len =
         std::min(chunks_.chunkSize(), chunks_.numFeatures());
@@ -96,10 +138,18 @@ LookupEncoder::addressesInto(std::span<const std::size_t> levels,
 {
     LOOKHD_CHECK(levels.size() == chunks_.numFeatures(),
                  "level vector width mismatch");
+    // addressOf by Horner's rule, most significant digit first. It
+    // cannot overflow: a chunk is at most r long, and the tables'
+    // addressSpace proved that q^r fits 64 bits.
+    const std::size_t q = levels_->levels();
     for (std::size_t c = 0; c < chunks_.numChunks(); ++c) {
-        out[c] = addressOf(
-            levels.subspan(chunks_.begin(c), chunks_.length(c)),
-            levels_->levels());
+        const std::size_t *digits = levels.data() + chunks_.begin(c);
+        Address addr = 0;
+        for (std::size_t j = chunks_.length(c); j-- > 0;) {
+            LOOKHD_CHECK(digits[j] < q, "level index out of range");
+            addr = addr * q + digits[j];
+        }
+        out[c] = addr;
     }
 }
 
@@ -147,9 +197,9 @@ LookupEncoder::sumChunkRows(std::span<const Address> addresses,
     std::fill_n(out, dim(), 0);
     // A row of a table too large to materialize is computed into its
     // slot of `lazy`; a materialized row is read in place.
-    std::array<const std::int32_t *, kRowsPerPass> rows;
-    std::array<const std::int8_t *, kRowsPerPass> keys;
-    std::array<hdc::IntHv, kRowsPerPass> lazy;
+    std::array<const std::int8_t *, kRowsPerPass> rows;
+    std::array<const std::uint64_t *, kRowsPerPass> keys;
+    std::array<std::vector<std::int8_t>, kRowsPerPass> lazy;
     for (std::size_t first = 0; first < addresses.size();
          first += kRowsPerPass) {
         const std::size_t count =
@@ -157,7 +207,7 @@ LookupEncoder::sumChunkRows(std::span<const Address> addresses,
         for (std::size_t j = 0; j < count; ++j) {
             const std::size_t c = first + j;
             rows[j] = tableFor(c).row(addresses[c], lazy[j]).data();
-            keys[j] = positions_.at(c).data();
+            keys[j] = keySigns_.data() + c * keyWordsOf(dim());
         }
         hdc::kernels::addSignedRows(out, rows.data(), keys.data(),
                                     count, dim());

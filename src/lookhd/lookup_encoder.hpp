@@ -30,9 +30,11 @@ namespace lookhd {
 struct LookupEncoderConfig
 {
     /**
-     * Memory budget for materializing dense chunk tables. Tables
-     * beyond the budget fall back to on-the-fly row computation
-     * (identical results, no reuse).
+     * Memory budget for materializing dense chunk tables, counted at
+     * one byte per element (the tables store int8 rows, so 64 MB
+     * holds 4x the addresses int32 rows did). Tables beyond the
+     * budget fall back to on-the-fly row computation: identical
+     * results, only memory and speed move.
      */
     std::size_t materializeBudgetBytes = std::size_t{64} << 20;
 };
@@ -56,6 +58,8 @@ class LookupEncoder
      * Restore variant (deserialization): position keys are supplied
      * explicitly instead of generated. @pre positions.count() ==
      * chunks.numChunks() and positions.dim() == levels->dim().
+     * @throws util::ContractViolation unless every key and level
+     *         element is +-1.
      */
     LookupEncoder(std::shared_ptr<const hdc::LevelMemory> levels,
                   quant::QuantizerBank bank, ChunkSpec chunks,
@@ -113,9 +117,9 @@ class LookupEncoder
                        std::span<Address> out) const;
 
     /**
-     * Eq. 3 into @p out (dim() elements): every chunk row bound with
-     * its position key and summed by one register-blocked kernel
-     * pass per kRowsPerPass chunks.
+     * Eq. 3 into @p out (dim() elements): every int8 chunk row bound
+     * with its packed position key and summed by one register-blocked
+     * kernel pass per kRowsPerPass chunks.
      */
     void sumChunkRows(std::span<const Address> addresses,
                       std::int32_t *out) const;
@@ -124,6 +128,11 @@ class LookupEncoder
     quant::QuantizerBank bank_;
     ChunkSpec chunks_;
     hdc::KeyMemory positions_;
+    /**
+     * Position key c as ceil(dim() / 64) sign words (bit i set iff
+     * P_c[i] = +1, the PackedHv convention), key after key.
+     */
+    std::vector<std::uint64_t> keySigns_;
     /** Table for full-size chunks (shared by all of them). */
     std::shared_ptr<ChunkLookupTable> fullTable_;
     /** Table for the trailing short chunk, if n % r != 0. */

@@ -273,11 +273,19 @@ TEST(Kernels, ElementwiseKernelsMatchReferenceEveryImpl)
                                                  static_cast<
                                                      std::ptrdiff_t>(
                                                      offset + n));
+            // One int8 row (each int mod 128, in [-127, 127]) signed
+            // by the packed form of the +-1 operand.
+            std::vector<std::int8_t> rowStore(n + offset);
+            for (std::size_t i = 0; i < n; ++i)
+                rowStore[offset + i] = static_cast<std::int8_t>(
+                    ops.a(offset)[i] % 128);
+            const PackedHv key(
+                BipolarHv(ops.s(offset), ops.s(offset) + n));
             for (std::size_t i = 0; i < n; ++i) {
                 refMul[i] =
                     static_cast<double>(ops.a(offset)[i]) *
                     ops.r(offset)[i];
-                refAcc[i] += ops.a(offset)[i] * ops.s(offset)[i];
+                refAcc[i] += rowStore[offset + i] * ops.s(offset)[i];
             }
             for (const kernels::Impl impl : availableImpls()) {
                 ForcedImpl forced(impl);
@@ -293,8 +301,8 @@ TEST(Kernels, ElementwiseKernelsMatchReferenceEveryImpl)
                         static_cast<std::ptrdiff_t>(offset),
                     ops.ints2.begin() +
                         static_cast<std::ptrdiff_t>(offset + n));
-                const std::int32_t *rows[] = {ops.a(offset)};
-                const std::int8_t *signs[] = {ops.s(offset)};
+                const std::int8_t *rows[] = {rowStore.data() + offset};
+                const std::uint64_t *signs[] = {key.data().data()};
                 kernels::addSignedRows(acc.data(), rows, signs, 1, n);
                 EXPECT_EQ(acc, refAcc)
                     << kernels::implName(impl) << " n=" << n
@@ -304,33 +312,54 @@ TEST(Kernels, ElementwiseKernelsMatchReferenceEveryImpl)
     }
 }
 
+/** acc[i] += (bit i of signs[t] ? rows[t][i] : -rows[t][i]), naively. */
+std::vector<std::int32_t>
+naiveSignedRows(std::vector<std::int32_t> acc, std::size_t offset,
+                const std::vector<const std::int8_t *> &rows,
+                const std::vector<const std::uint64_t *> &signs,
+                std::size_t n)
+{
+    for (std::size_t t = 0; t < rows.size(); ++t)
+        for (std::size_t i = 0; i < n; ++i) {
+            const bool plus = (signs[t][i / 64] >> (i % 64)) & 1;
+            acc[offset + i] += plus ? rows[t][i] : -rows[t][i];
+        }
+    return acc;
+}
+
 TEST(Kernels, AddSignedRowsMatchesScalarEveryImpl)
 {
-    // The encoder's blocked sum: 0, 1, 11 (PHYSICAL's chunk count)
-    // and more rows than one encoder pass takes; lengths that are
-    // not a multiple of any vector width; unaligned rows, keys and
-    // sum. Each Impl must give the scalar reference's int32 sums.
+    // The encoder's blocked sum: 0, 1, 11 (PHYSICAL's chunk count), 16
+    // (one encoder pass), more rows than a pass takes, and 300, which
+    // crosses the vector tables' int16 widening point; lengths that
+    // are not a multiple of any vector width; unaligned rows and sum;
+    // every key bit at and past n set, which must be ignored. The
+    // scalar entry must equal a naive loop and every Impl the scalar
+    // entry.
     Rng rng(606);
-    for (const std::size_t count : {0UL, 1UL, 2UL, 11UL, 17UL, 40UL}) {
+    for (const std::size_t count :
+         {0UL, 1UL, 2UL, 11UL, 16UL, 17UL, 40UL, 300UL}) {
         for (const std::size_t n :
              {0UL, 1UL, 7UL, 8UL, 9UL, 15UL, 16UL, 17UL, 31UL, 33UL,
               63UL, 64UL, 65UL, 127UL, 2000UL, 2001UL}) {
             const std::size_t offset = (count + n) % 3;
-            std::vector<std::vector<std::int32_t>> rowStore(count);
-            std::vector<std::vector<std::int8_t>> keyStore(count);
-            std::vector<const std::int32_t *> rows(count);
-            std::vector<const std::int8_t *> keys(count);
+            const std::size_t words = (n + 63) / 64;
+            std::vector<std::vector<std::int8_t>> rowStore(count);
+            std::vector<std::vector<std::uint64_t>> keyStore(count);
+            std::vector<const std::int8_t *> rows(count);
+            std::vector<const std::uint64_t *> keys(count);
             for (std::size_t t = 0; t < count; ++t) {
                 rowStore[t].resize(n + offset);
-                keyStore[t].resize(n + offset);
-                for (std::size_t i = 0; i < n + offset; ++i) {
-                    rowStore[t][i] =
-                        static_cast<std::int32_t>(rng.nextBelow(20001)) -
-                        10000;
-                    keyStore[t][i] = rng.nextBelow(2) ? 1 : -1;
-                }
+                for (auto &v : rowStore[t])
+                    v = static_cast<std::int8_t>(
+                        static_cast<int>(rng.nextBelow(255)) - 127);
+                keyStore[t].resize(std::max<std::size_t>(words, 1));
+                for (auto &w : keyStore[t])
+                    w = rng.next();
+                if (words > 0)
+                    keyStore[t][words - 1] |= ~kernels::tailMask64(n);
                 rows[t] = rowStore[t].data() + offset;
-                keys[t] = keyStore[t].data() + offset;
+                keys[t] = keyStore[t].data();
             }
             std::vector<std::int32_t> start(n + offset);
             for (auto &v : start)
@@ -343,12 +372,9 @@ TEST(Kernels, AddSignedRowsMatchesScalarEveryImpl)
                                        rows.data(), keys.data(), count,
                                        n);
             }
-            for (std::size_t i = 0; i < n; ++i) {
-                std::int32_t sum = start[offset + i];
-                for (std::size_t t = 0; t < count; ++t)
-                    sum += rows[t][i] * keys[t][i];
-                ASSERT_EQ(expected[offset + i], sum) << "i=" << i;
-            }
+            ASSERT_EQ(expected,
+                      naiveSignedRows(start, offset, rows, keys, n))
+                << "count=" << count << " n=" << n;
             for (const kernels::Impl impl : availableImpls()) {
                 ForcedImpl forced(impl);
                 std::vector<std::int32_t> acc = start;
@@ -357,6 +383,50 @@ TEST(Kernels, AddSignedRowsMatchesScalarEveryImpl)
                 EXPECT_EQ(acc, expected)
                     << kernels::implName(impl) << " count=" << count
                     << " n=" << n;
+            }
+        }
+    }
+}
+
+TEST(Kernels, AddSignedRowsDrivesInt16SumsToBothExtremes)
+{
+    // Rows of +-127 whose key makes every product +127 on even lanes
+    // and -127 on odd ones: 258 rows reach +-32766, the int16 limit,
+    // and longer runs only stay exact because the vector tables
+    // widen into int32 at least every 256 rows.
+    const std::size_t n = 200;
+    for (const std::size_t count :
+         {255UL, 256UL, 257UL, 258UL, 300UL, 513UL}) {
+        std::vector<std::vector<std::int8_t>> rowStore(count);
+        std::vector<std::vector<std::uint64_t>> keyStore(count);
+        std::vector<const std::int8_t *> rows(count);
+        std::vector<const std::uint64_t *> keys(count);
+        for (std::size_t t = 0; t < count; ++t) {
+            rowStore[t].resize(n);
+            keyStore[t].assign((n + 63) / 64, 0);
+            for (std::size_t i = 0; i < n; ++i) {
+                // Half the rows carry -127 under a clear bit, half
+                // +127 under a set one; odd lanes flip the product.
+                const bool negRow = (t + i / 3) % 2 == 1;
+                rowStore[t][i] = negRow ? -127 : 127;
+                const bool plus = negRow == (i % 2 == 1);
+                if (plus)
+                    keyStore[t][i / 64] |= std::uint64_t{1} << (i % 64);
+            }
+            rows[t] = rowStore[t].data();
+            keys[t] = keyStore[t].data();
+        }
+        const std::vector<std::int32_t> start(n, 5);
+        for (const kernels::Impl impl : availableImpls()) {
+            ForcedImpl forced(impl);
+            std::vector<std::int32_t> acc = start;
+            kernels::addSignedRows(acc.data(), rows.data(), keys.data(),
+                                   count, n);
+            const auto extreme = static_cast<std::int32_t>(127 * count);
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(acc[i], 5 + (i % 2 == 0 ? extreme : -extreme))
+                    << kernels::implName(impl) << " count=" << count
+                    << " i=" << i;
             }
         }
     }

@@ -167,6 +167,60 @@ TEST(LookupEncoder, ChunkAddressesMatchQuantizedLevels)
               addressOf(std::span(lvls).subspan(5, 5), 4));
 }
 
+TEST(LookupEncoder, ChunkAddressesEqualAddressOfForEveryQ)
+{
+    // The encoder computes addresses by Horner's rule; they must equal
+    // codebook addressOf on random levels, the ragged tail chunk
+    // included, and an out-of-range level must still throw.
+    for (const std::size_t q : {2UL, 3UL, 4UL, 16UL}) {
+        const std::size_t n = 13;
+        const std::size_t r = q == 16 ? 3 : 5;
+        Fixture fx(131, q, n, r, 40 + q);
+        const ChunkSpec &chunks = fx.encoder->chunks();
+        ASSERT_NE(chunks.length(chunks.numChunks() - 1), r);
+        util::Rng rng(q);
+        std::vector<std::size_t> lvls(n);
+        for (int trial = 0; trial < 50; ++trial) {
+            for (auto &l : lvls)
+                l = rng.nextBelow(q);
+            const auto addrs = fx.encoder->chunkAddressesOfLevels(lvls);
+            ASSERT_EQ(addrs.size(), chunks.numChunks());
+            for (std::size_t c = 0; c < chunks.numChunks(); ++c)
+                EXPECT_EQ(addrs[c],
+                          addressOf(std::span(lvls).subspan(
+                                        chunks.begin(c), chunks.length(c)),
+                                    q))
+                    << "q=" << q << " chunk " << c;
+        }
+        for (const std::size_t at : {std::size_t{0}, n - 1}) {
+            std::vector<std::size_t> bad(n, 0);
+            bad[at] = q;
+            EXPECT_THROW(fx.encoder->chunkAddressesOfLevels(bad),
+                         util::ContractViolation)
+                << "q=" << q << " at " << at;
+        }
+    }
+}
+
+TEST(LookupEncoder, NonBipolarPositionKeyThrows)
+{
+    // Keys are kept as sign bits, which hold +-1 only: a restored key
+    // with any other element is refused, inside a packed byte group
+    // or in the tail past the last whole one.
+    Fixture fx(131, 2, 10, 5, 41);
+    for (const std::size_t at : {std::size_t{5}, std::size_t{130}}) {
+        std::vector<BipolarHv> keys = {fx.encoder->positionKeys().at(0),
+                                       fx.encoder->positionKeys().at(1)};
+        keys[1][at] = 0;
+        EXPECT_THROW(LookupEncoder(fx.levels,
+                                   quant::QuantizerBank(fx.quantizer, 10),
+                                   ChunkSpec(10, 5),
+                                   KeyMemory(std::move(keys))),
+                     util::ContractViolation)
+            << "at " << at;
+    }
+}
+
 TEST(LookupEncoder, EncodeFromAddressesAgrees)
 {
     Fixture fx(128, 2, 15, 5, 17);

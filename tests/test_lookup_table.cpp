@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "hdc/similarity.hpp"
 #include "lookhd/lookup_table.hpp"
@@ -35,10 +37,10 @@ TEST(ChunkLookupTable, AddressSpaceSize)
 TEST(ChunkLookupTable, MaterializesWithinBudget)
 {
     auto levels = makeLevels(128, 2);
-    // 32 rows x 128 dims x 4 B = 16 KiB.
+    // 32 rows x 128 dims x 1 B (int8 elements) = 4 KiB.
     ChunkLookupTable table(levels, 5, 32 * 1024);
     EXPECT_TRUE(table.materialized());
-    EXPECT_EQ(table.tableBytes(), 32u * 128u * 4u);
+    EXPECT_EQ(table.tableBytes(), 32u * 128u * 1u);
 }
 
 TEST(ChunkLookupTable, FallsBackBeyondBudget)
@@ -65,12 +67,58 @@ TEST(ChunkLookupTable, MaterializedAndOnTheFlyRowsIdentical)
     ASSERT_TRUE(dense.materialized());
     ASSERT_FALSE(lazy.materialized());
 
-    IntHv scratch;
+    std::vector<std::int8_t> scratch;
+    std::vector<std::int8_t> scratch2;
     for (Address a = 0; a < dense.addressSpaceSize(); ++a) {
-        const IntHv &d = dense.row(a, scratch);
-        IntHv scratch2;
-        const IntHv &l = lazy.row(a, scratch2);
-        EXPECT_EQ(d, l) << "address " << a;
+        const auto d = dense.row(a, scratch);
+        const auto l = lazy.row(a, scratch2);
+        EXPECT_TRUE(std::equal(d.begin(), d.end(), l.begin(), l.end()))
+            << "address " << a;
+    }
+}
+
+TEST(ChunkLookupTable, Int8RowsEqualInt32EncodeAddress)
+{
+    // The int8 rows (built from shorter chunks' rows, or computed on
+    // the fly) hold the int32 Eq. 2 encoding element for element.
+    for (const auto &[q, r] : {std::pair<std::size_t, std::size_t>{2, 5},
+                              {2, 2},
+                              {3, 4},
+                              {4, 3},
+                              {16, 1}}) {
+        auto levels = makeLevels(131, q, 13 + q);
+        const ChunkLookupTable dense(levels, r, std::size_t{64} << 20);
+        const ChunkLookupTable lazy(levels, r, 0);
+        ASSERT_TRUE(dense.materialized());
+        std::vector<std::int8_t> scratch;
+        for (Address a = 0; a < dense.addressSpaceSize(); ++a) {
+            const IntHv want = dense.encodeAddress(a);
+            for (const ChunkLookupTable *table : {&dense, &lazy}) {
+                const std::span<const std::int8_t> got =
+                    table->row(a, scratch);
+                ASSERT_EQ(got.size(), want.size());
+                for (std::size_t i = 0; i < want.size(); ++i)
+                    ASSERT_EQ(got[i], want[i])
+                        << "q=" << q << " r=" << r << " address " << a
+                        << " i=" << i;
+            }
+        }
+    }
+}
+
+TEST(ChunkLookupTable, NonBipolarLevelMemoryThrows)
+{
+    // An element other than +-1 could leave int8 in a chunk sum (and
+    // is not a level hypervector); dense or lazy, the table refuses
+    // it.
+    for (const std::int8_t bad : {std::int8_t{0}, std::int8_t{2},
+                                  std::int8_t{100}, std::int8_t{-128}}) {
+        auto levels = std::make_shared<LevelMemory>(std::vector<BipolarHv>{
+            {1, -1, 1, 1}, {1, 1, bad, -1}});
+        EXPECT_THROW(ChunkLookupTable(levels, 2, std::size_t{1} << 20),
+                     util::ContractViolation);
+        EXPECT_THROW(ChunkLookupTable(levels, 2, 0),
+                     util::ContractViolation);
     }
 }
 
@@ -86,17 +134,18 @@ TEST(ChunkLookupTable, RowMatchesManualEquationTwo)
     for (std::size_t j = 0; j < 3; ++j)
         addRotated(manual, levels->at(lvls[j]), j);
 
-    IntHv scratch;
-    EXPECT_EQ(table.row(addr, scratch), manual);
+    std::vector<std::int8_t> scratch;
+    const auto row = table.row(addr, scratch);
+    EXPECT_EQ(IntHv(row.begin(), row.end()), manual);
 }
 
 TEST(ChunkLookupTable, RowElementsBoundedByChunkLen)
 {
     auto levels = makeLevels(64, 2, 11);
     ChunkLookupTable table(levels, 6, std::size_t{1} << 20);
-    IntHv scratch;
+    std::vector<std::int8_t> scratch;
     for (Address a = 0; a < table.addressSpaceSize(); ++a) {
-        for (auto v : table.row(a, scratch))
+        for (const int v : table.row(a, scratch))
             EXPECT_LE(std::abs(v), 6);
     }
 }
@@ -105,7 +154,7 @@ TEST(ChunkLookupTable, OutOfRangeAddressThrows)
 {
     auto levels = makeLevels(64, 2);
     ChunkLookupTable table(levels, 3, std::size_t{1} << 20);
-    IntHv scratch;
+    std::vector<std::int8_t> scratch;
     EXPECT_THROW(table.row(8, scratch), util::ContractViolation);
 }
 
